@@ -8,9 +8,13 @@ self-contained reverse-mode autodiff core.
 
 import os as _os
 
-# the per-step matrix products are small; they run fastest (and bit-stably)
-# single-threaded. WARPSYNTH_THREADS caps parallelism; explicit BLAS env
-# settings win over both. Only effective if numpy is not yet imported.
+# WARPSYNTH_THREADS sets the BLAS thread count; explicit BLAS env settings
+# win over it. Results are bit-identical with 1 and 2 threads, and on a
+# 2-core VM 2 threads trained NoReg+Aug 12.5% and EqSim+Com 4.7% faster
+# (the latter inside the run-to-run spread; perfbench/README.md). The
+# default stays 1 so that a run leaves the other cores of a small shared
+# machine to the rest of its load. Only effective if numpy is not yet
+# imported.
 _threads = _os.environ.get("WARPSYNTH_THREADS", "1")
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, _threads)

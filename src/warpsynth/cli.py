@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -33,15 +32,6 @@ _EVAL_KEYS = {"checkpoint", "data_manifest", "max_val", "split"}
 _INFER_KEYS = {"checkpoint", "x", "y_tilde"}
 _GRADCHECK_KEYS = {"seeds", "tolerance"}
 _SELFTEST_KEYS = {"quick"}
-
-
-def worker_cap() -> int:
-    """Worker-count ceiling from WARPSYNTH_THREADS (all built-in pipelines
-    currently run sequentially, i.e. at most this many and at least one)."""
-    try:
-        return max(1, int(os.environ.get("WARPSYNTH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parser() -> argparse.ArgumentParser:

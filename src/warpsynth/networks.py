@@ -29,20 +29,62 @@ from .tensor import Tensor
 from .deform import RigidParams
 
 
-def default_groups(channels: int) -> int:
-    # one group (the layer-norm special case) keeps cross-channel intensity
-    # relations intact, which desk-scale synthesis needs; per-channel groups
-    # wash them out and stall training
-    del channels
-    return 1
-
-
 def _uniform(rng, shape, fan_in):
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Conv:
+def _numbered(stem, modules):
+    return [(f"{stem}{i}", m) for i, m in enumerate(modules)]
+
+
+class Module:
+    """Base of every layer, network and the bundle: walks their parameters
+    and power-iteration states.
+
+    A leaf maps checkpoint names to its tensor attributes in ``tensors`` and
+    holds its power-iteration state, when spectrally normalized, in ``sn``;
+    a composite lists its named sub-modules in ``children``. Their order is
+    the checkpoint key order, which is a file format.
+    """
+
+    tensors: dict[str, str] = {}
+    sn = None
+
+    def children(self):
+        return []
+
+    def named_params(self, prefix=""):
+        own = [(f"{prefix}{name}", getattr(self, attr)) for name, attr in self.tensors.items()]
+        return own + [p for name, m in self.children() for p in m.named_params(f"{prefix}{name}.")]
+
+    def params(self):
+        return [p for _, p in self.named_params()]
+
+    def power_states(self, prefix=""):
+        own = [] if self.sn is None else [(f"{prefix}u", self.sn)]
+        return own + [s for name, m in self.children() for s in m.power_states(f"{prefix}{name}.")]
+
+
+class _Weighted(Module):
+    """A layer with a weight and a bias, optionally spectrally normalized."""
+
+    tensors = {"w": "w", "b": "b"}
+
+    def __init__(self, w, b, spectral=False):
+        self.w = Tensor(w, requires_grad=True)
+        self.b = Tensor(b, requires_grad=True)
+        self.sn = T.PowerIterState() if spectral else None
+
+    def _weights(self, frozen):
+        w = self.w if self.sn is None else T.spectral_normalize(self.w, self.sn, update=not frozen)
+        b = self.b
+        if frozen:
+            w, b = w.detach(), b.detach()
+        return w, b
+
+
+class Conv(_Weighted):
     def __init__(self, rng, cin, cout, k, stride=1, padding=0, zero_init=False, spectral=False):
         if zero_init:
             w = np.zeros((cout, cin, k, k))
@@ -50,67 +92,40 @@ class Conv:
         else:
             w = _uniform(rng, (cout, cin, k, k), cin * k * k)
             b = _uniform(rng, (cout,), cin * k * k)
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(b, requires_grad=True)
+        super().__init__(w, b, spectral)
         self.stride, self.padding = stride, padding
-        self.sn = T.PowerIterState() if spectral else None
 
     def forward(self, x, frozen=False):
-        w = self.w if self.sn is None else T.spectral_normalize(self.w, self.sn, update=not frozen)
-        b = self.b
-        if frozen:
-            w, b = w.detach(), b.detach()
-        return T.conv2d(x, w, b, self.stride, self.padding)
-
-    def named(self, prefix):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
-    def states(self, prefix):
-        return [(f"{prefix}.u", self.sn)] if self.sn is not None else []
+        return T.conv2d(x, *self._weights(frozen), self.stride, self.padding)
 
 
-class ConvTranspose:
+class ConvTranspose(_Weighted):
     def __init__(self, rng, cin, cout, k=2, stride=2):
-        self.w = Tensor(_uniform(rng, (cin, cout, k, k), cin * k * k), requires_grad=True)
-        self.b = Tensor(_uniform(rng, (cout,), cin * k * k), requires_grad=True)
+        super().__init__(_uniform(rng, (cin, cout, k, k), cin * k * k), _uniform(rng, (cout,), cin * k * k))
         self.stride = stride
 
     def forward(self, x, frozen=False):
-        w, b = (self.w.detach(), self.b.detach()) if frozen else (self.w, self.b)
-        return T.conv_transpose2d(x, w, b, self.stride)
-
-    def named(self, prefix):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
-    def states(self, prefix):
-        return []
+        return T.conv_transpose2d(x, *self._weights(frozen), self.stride)
 
 
-class DenseHead:
+class DenseHead(_Weighted):
     def __init__(self, rng, nin, nout, zero_init=False, spectral=False):
         w = np.zeros((nout, nin)) if zero_init else _uniform(rng, (nout, nin), nin)
         b = np.zeros(nout) if zero_init else _uniform(rng, (nout,), nin)
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(b, requires_grad=True)
-        self.sn = T.PowerIterState() if spectral else None
+        super().__init__(w, b, spectral)
 
     def forward(self, x, frozen=False):
-        w = self.w if self.sn is None else T.spectral_normalize(self.w, self.sn, update=not frozen)
-        b = self.b
-        if frozen:
-            w, b = w.detach(), b.detach()
-        return T.dense(x, w, b)
-
-    def named(self, prefix):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
-    def states(self, prefix):
-        return [(f"{prefix}.u", self.sn)] if self.sn is not None else []
+        return T.dense(x, *self._weights(frozen))
 
 
-class GroupNorm:
-    def __init__(self, channels, groups=None):
-        self.groups = default_groups(channels) if groups is None else groups
+class GroupNorm(Module):
+    tensors = {"g": "gamma", "b": "beta"}
+    # one group (the layer-norm special case) keeps cross-channel intensity
+    # relations intact, which desk-scale synthesis needs; per-channel groups
+    # wash them out and stall training
+    groups = 1
+
+    def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
 
@@ -118,18 +133,12 @@ class GroupNorm:
         g, b = (self.gamma.detach(), self.beta.detach()) if frozen else (self.gamma, self.beta)
         return T.group_norm(x, self.groups, g, b)
 
-    def named(self, prefix):
-        return [(f"{prefix}.g", self.gamma), (f"{prefix}.b", self.beta)]
-
-    def states(self, prefix):
-        return []
-
 
 def _act(x, activation, slope):
     return T.leaky_relu(x, slope if activation == "leaky" else 0.0)
 
 
-class DoubleConv:
+class DoubleConv(Module):
     """Two 3x3 convolutions with optional group norm, activation after each."""
 
     def __init__(self, rng, cin, cout, norm, activation, slope, spectral=False):
@@ -149,8 +158,8 @@ class DoubleConv:
             h = self.n2.forward(h, frozen)
         return _act(h, self.activation, self.slope)
 
-    def modules(self):
-        return [m for m in (self.c1, self.n1, self.c2, self.n2) if m is not None]
+    def children(self):
+        return _numbered("", [m for m in (self.c1, self.n1, self.c2, self.n2) if m is not None])
 
 
 @dataclass
@@ -168,7 +177,7 @@ class UnetSpec:
             raise ValueError("U-Net needs at least two resolutions")
 
 
-class UNet:
+class UNet(Module):
     """Encoder-decoder with skip connections; decoder features mirror the
     encoder in reverse order; output head is a 1x1 convolution."""
 
@@ -205,49 +214,26 @@ class UNet:
             z = dec.forward(z, frozen)
         return self.head.forward(z, frozen)
 
-    def _walk(self):
-        mods = []
-        for i, e in enumerate(self.enc):
-            for j, m in enumerate(e.modules()):
-                mods.append((f"enc{i}.{j}", m))
-        for i, d in enumerate(self.down):
-            mods.append((f"down{i}", d))
-        for i, u in enumerate(self.up):
-            mods.append((f"up{i}", u))
-        for i, d in enumerate(self.dec):
-            for j, m in enumerate(d.modules()):
-                mods.append((f"dec{i}.{j}", m))
-        mods.append(("head", self.head))
-        return mods
-
-    def named_params(self, prefix=""):
-        return [(f"{prefix}{pn}", p) for name, m in self._walk() for pn, p in m.named(name)]
-
-    def params(self):
-        return [p for _, p in self.named_params()]
-
-    def power_states(self, prefix=""):
-        return [(f"{prefix}{sn}", s) for name, m in self._walk() for sn, s in m.states(name)]
+    def children(self):
+        return (_numbered("enc", self.enc) + _numbered("down", self.down) + _numbered("up", self.up)
+                + _numbered("dec", self.dec) + [("head", self.head)])
 
 
-class ResBlock:
-    """Two 3x3 convolutions with an identity shortcut (1x1 projection when
-    the channel count changes)."""
+class ResBlock(Module):
+    """Two 3x3 convolutions with an identity shortcut."""
 
-    def __init__(self, rng, cin, cout, activation, slope, spectral):
-        self.c1 = Conv(rng, cin, cout, 3, 1, 1, spectral=spectral)
-        self.c2 = Conv(rng, cout, cout, 3, 1, 1, spectral=spectral)
-        self.proj = Conv(rng, cin, cout, 1, 1, 0, spectral=spectral) if cin != cout else None
+    def __init__(self, rng, channels, activation, slope, spectral):
+        self.c1 = Conv(rng, channels, channels, 3, 1, 1, spectral=spectral)
+        self.c2 = Conv(rng, channels, channels, 3, 1, 1, spectral=spectral)
         self.activation, self.slope = activation, slope
 
     def forward(self, x, frozen=False):
         h = _act(self.c1.forward(x, frozen), self.activation, self.slope)
         h = self.c2.forward(h, frozen)
-        short = x if self.proj is None else self.proj.forward(x, frozen)
-        return _act(h + short, self.activation, self.slope)
+        return _act(h + x, self.activation, self.slope)
 
-    def modules(self):
-        return [m for m in (self.c1, self.c2, self.proj) if m is not None]
+    def children(self):
+        return _numbered("", [self.c1, self.c2])
 
 
 @lru_cache(maxsize=16)
@@ -275,7 +261,7 @@ class EncoderSpec:
             raise ValueError("out_dim must be >= 1")
 
 
-class Encoder:
+class Encoder(Module):
     """Strided-downsampling residual encoder -> global average pool -> linear."""
 
     def __init__(self, spec: EncoderSpec, rng):
@@ -286,7 +272,7 @@ class Encoder:
         prev = cin
         for feat in f:
             self.down.append(Conv(rng, prev, feat, 2, 2, 0, spectral=spec.spectral_norm))
-            self.blocks.append(ResBlock(rng, feat, feat, spec.activation, spec.leaky_slope, spec.spectral_norm))
+            self.blocks.append(ResBlock(rng, feat, spec.activation, spec.leaky_slope, spec.spectral_norm))
             prev = feat
         self.fc = DenseHead(rng, f[-1], spec.out_dim, zero_init=spec.zero_init_head, spectral=spec.spectral_norm)
 
@@ -302,23 +288,9 @@ class Encoder:
             z = block.forward(down.forward(z, frozen), frozen)
         return self.fc.forward(T.global_avg_pool(z), frozen)
 
-    def _walk(self):
-        mods = []
-        for i, (d, b) in enumerate(zip(self.down, self.blocks)):
-            mods.append((f"down{i}", d))
-            for j, m in enumerate(b.modules()):
-                mods.append((f"block{i}.{j}", m))
-        mods.append(("fc", self.fc))
-        return mods
-
-    def named_params(self, prefix=""):
-        return [(f"{prefix}{pn}", p) for name, m in self._walk() for pn, p in m.named(name)]
-
-    def params(self):
-        return [p for _, p in self.named_params()]
-
-    def power_states(self, prefix=""):
-        return [(f"{prefix}{sn}", s) for name, m in self._walk() for sn, s in m.states(name)]
+    def children(self):
+        pairs = zip(_numbered("down", self.down), _numbered("block", self.blocks))
+        return [c for pair in pairs for c in pair] + [("fc", self.fc)]
 
 
 def rigid_head(raw: Tensor, max_angle: float, max_shift, center) -> RigidParams:
@@ -332,7 +304,7 @@ def rigid_head(raw: Tensor, max_angle: float, max_shift, center) -> RigidParams:
 
 
 @dataclass
-class ModelBundle:
+class ModelBundle(Module):
     """Parameter sets for synthesis (f), cross-modality registration (h_rig,
     h_svf), intra-modality registration (g_svf) and the discriminator."""
 
@@ -344,30 +316,10 @@ class ModelBundle:
     max_angle: float = math.pi / 6.0
     max_shift: float = 24.0
 
-    def generator_networks(self):
-        return [n for n in (self.f, self.h_rig, self.h_svf, self.g_svf) if n is not None]
-
-    def generator_params(self):
-        return [p for n in self.generator_networks() for p in n.params()]
-
-    def disc_params(self):
-        return [] if self.d is None else self.d.params()
-
-    def named_params(self):
-        out = []
-        for name, net in (("f", self.f), ("h_rig", self.h_rig), ("h_svf", self.h_svf),
-                          ("g_svf", self.g_svf), ("d", self.d)):
-            if net is not None:
-                out.extend(net.named_params(f"{name}."))
-        return out
-
-    def power_states(self):
-        out = []
-        for name, net in (("f", self.f), ("h_rig", self.h_rig), ("h_svf", self.h_svf),
-                          ("g_svf", self.g_svf), ("d", self.d)):
-            if net is not None:
-                out.extend(net.power_states(f"{name}."))
-        return out
+    def children(self):
+        nets = (("f", self.f), ("h_rig", self.h_rig), ("h_svf", self.h_svf),
+                ("g_svf", self.g_svf), ("d", self.d))
+        return [(name, net) for name, net in nets if net is not None]
 
 
 def build_models(in_channels: int, label_channels: int, image_size: int, seed: int,

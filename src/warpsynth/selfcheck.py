@@ -21,6 +21,7 @@ from . import deform as D
 from . import losses as L
 from . import metrics as M
 from . import networks as N
+from . import oracles
 from .datagen import Dataset, Sample, channel_swap, procedural_image, make_pair
 from .trainer import TrainConfig, Trainer
 
@@ -287,7 +288,7 @@ def _disc_grad(dnet, x, label, pred) -> float:
     discriminator's own weights."""
     probe = dnet.fc.w
     d_loss, _ = L.adversarial_losses(dnet, x, label, pred, None, "def-cond-adv")
-    for p in [p for _, p in dnet.named_params()]:
+    for p in dnet.params():
         p.grad = None
     d_loss.backward()
     analytic = probe.grad.copy() if probe.grad is not None else np.zeros_like(probe.data)
@@ -311,27 +312,6 @@ def _disc_grad(dnet, x, label, pred) -> float:
 # -- property selftests ----------------------------------------------------------------
 
 
-def euler_flow(field: np.ndarray, steps: int = 1000) -> np.ndarray:
-    """Brute-force flow integration of a velocity field (edge-clamped), used
-    as the reference for the scaling-and-squaring exponential."""
-    h, w = field.shape[1:]
-    p = D._grid_array(h, w).copy()
-    dt = 1.0 / steps
-    for _ in range(steps):
-        cy = np.clip(p[0], 0, h - 1)
-        cx = np.clip(p[1], 0, w - 1)
-        y0 = np.floor(cy).astype(int)
-        x0 = np.floor(cx).astype(int)
-        fy = cy - y0
-        fx = cx - x0
-        y1 = np.minimum(y0 + 1, h - 1)
-        x1 = np.minimum(x0 + 1, w - 1)
-        val = (field[:, y0, x0] * (1 - fy) * (1 - fx) + field[:, y0, x1] * (1 - fy) * fx
-               + field[:, y1, x0] * fy * (1 - fx) + field[:, y1, x1] * fy * fx)
-        p += val * dt
-    return p
-
-
 def selftest_suite(quick: bool = True) -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(2024)
@@ -345,7 +325,7 @@ def selftest_suite(quick: bool = True) -> list[CheckResult]:
         m = rng.uniform(-10, 10, size=2)
         v = D.gaussian_svf(mu, sigma, m, 64, 64)
         d = D.svf_exp(v)
-        ref = euler_flow(v.field.data, steps=1000)
+        ref = oracles.euler_flow(v.field.data, steps=1000)
         worst_fwd = max(worst_fwd, float(np.sqrt(((d.coords.data - ref) ** 2).sum(axis=0)).mean()))
         rt = D.compose(D.svf_exp(v), D.svf_exp(-v))
         dev = np.sqrt(((rt.coords.data - D._grid_array(64, 64)) ** 2).sum(axis=0))
@@ -374,13 +354,13 @@ def selftest_suite(quick: bool = True) -> list[CheckResult]:
     for _ in range(n_img):
         a = rng.uniform(0, 255, size=(3, 16, 16))
         b = rng.uniform(0, 255, size=(3, 16, 16))
-        worst = max(worst, abs(M.psnr(a, b, 255) - _psnr_loop(a, b, 255)))
-        worst = max(worst, abs(M.ssim(a, b, 255) - _ssim_loop(a, b, 255)))
-        worst = max(worst, abs(M.nmi(a, b, 16) - _nmi_loop(a, b, 16)))
+        worst = max(worst, abs(M.psnr(a, b, 255) - oracles.psnr_loop(a, b, 255)))
+        worst = max(worst, abs(M.ssim(a, b, 255) - oracles.ssim_loop(a, b, 255)))
+        worst = max(worst, abs(M.nmi(a, b, 16) - oracles.nmi_loop(a, b, 16)))
         d1 = rng.normal(size=(2, 16, 16)) * 3 + D._grid_array(16, 16)
         d2 = rng.normal(size=(2, 16, 16)) * 3 + D._grid_array(16, 16)
-        worst = max(worst, abs(M.mde(D.Deformation.from_coords(Tensor(d1)), D.Deformation.from_coords(Tensor(d2)))
-                               - float(np.mean([math.hypot(*(d1[:, i, j] - d2[:, i, j])) for i in range(16) for j in range(16)]))))
+        got = M.mde(D.Deformation.from_coords(Tensor(d1)), D.Deformation.from_coords(Tensor(d2)))
+        worst = max(worst, abs(got - oracles.mde_loop(d1, d2)))
     results.append(CheckResult("metrics/brute_force_agreement", worst < 1e-9, f"max |diff| {worst:.2e}"))
 
     x = rng.uniform(0, 255, size=(3, 16, 16))
@@ -409,59 +389,6 @@ def selftest_suite(quick: bool = True) -> list[CheckResult]:
     # determinism of a small training
     results.append(_determinism_check())
     return results
-
-
-def _psnr_loop(a, b, max_val):
-    total, n = 0.0, 0
-    for c in range(a.shape[0]):
-        for i in range(a.shape[1]):
-            for j in range(a.shape[2]):
-                total += (a[c, i, j] - b[c, i, j]) ** 2
-                n += 1
-    mse = total / n
-    return math.inf if mse == 0 else 10 * math.log10(max_val ** 2 / mse)
-
-
-def _ssim_loop(a, b, max_val, window=7):
-    c1, c2 = (0.01 * max_val) ** 2, (0.03 * max_val) ** 2
-    vals = []
-    for c in range(a.shape[0]):
-        ch = []
-        for i in range(a.shape[1] - window + 1):
-            for j in range(a.shape[2] - window + 1):
-                wa = a[c, i:i + window, j:j + window].ravel()
-                wb = b[c, i:i + window, j:j + window].ravel()
-                mu1, mu2 = wa.mean(), wb.mean()
-                var1 = (wa * wa).mean() - mu1 * mu1
-                var2 = (wb * wb).mean() - mu2 * mu2
-                cov = (wa * wb).mean() - mu1 * mu2
-                ch.append(((2 * mu1 * mu2 + c1) * (2 * cov + c2))
-                          / ((mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)))
-        vals.append(np.mean(ch))
-    return float(np.mean(vals))
-
-
-def _bin_index(v, edges, bins):
-    # [e_i, e_{i+1}) everywhere, last bin right-inclusive
-    i = int(np.searchsorted(edges, v, side="right")) - 1
-    return min(max(i, 0), bins - 1)
-
-
-def _nmi_loop(a, b, bins):
-    av, bv = a.ravel(), b.ravel()
-    ea = np.linspace(av.min(), av.max(), bins + 1)
-    eb = np.linspace(bv.min(), bv.max(), bins + 1)
-    joint = np.zeros((bins, bins))
-    for x, y in zip(av, bv):
-        joint[_bin_index(x, ea, bins), _bin_index(y, eb, bins)] += 1
-    pj = joint / joint.sum()
-
-    def ent(p):
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
-
-    hab = ent(pj.ravel())
-    return (ent(pj.sum(axis=1)) + ent(pj.sum(axis=0))) / hab if hab else 1.0
 
 
 def _tiny_dataset(n=3, size=32, seed=0) -> Dataset:

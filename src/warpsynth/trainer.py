@@ -263,11 +263,10 @@ class Trainer:
                 adversarial_mode=self.plan.adv_mode)
         self.models = models
 
-        self.named_gen = [(n, p) for name, net in (("f", models.f), ("h_rig", models.h_rig),
-                                                   ("h_svf", models.h_svf), ("g_svf", models.g_svf))
-                          if net is not None for n, p in net.named_params(f"{name}.")]
+        named = models.named_params()
+        self.named_gen = [(n, p) for n, p in named if not n.startswith("d.")]
+        self.named_disc = [(n, p) for n, p in named if n.startswith("d.")]
         self.opt_main = Adam([p for _, p in self.named_gen], cfg.lr_main)
-        self.named_disc = models.d.named_params("d.") if models.d is not None else []
         self.opt_disc = Adam([p for _, p in self.named_disc], cfg.lr_disc) if self.named_disc else None
 
         self.rng = np.random.default_rng(cfg.seed)
@@ -453,17 +452,16 @@ class Trainer:
 
     # -- checkpointing ----------------------------------------------------------------
 
+    def _optimizers(self):
+        """(checkpoint tag, optimizer, its named parameters) for each optimizer."""
+        opts = (("main", self.opt_main, self.named_gen), ("disc", self.opt_disc, self.named_disc))
+        return [(tag, opt, named) for tag, opt, named in opts if opt is not None]
+
     def _state_arrays(self):
-        out = [(f"param.{n}", p.data) for n, p in self.named_gen]
-        out += [(f"param.{n}", p.data) for n, p in self.named_disc]
-        if self.opt_main.state.m:
-            for (n, _), m_arr, v_arr in zip(self.named_gen, self.opt_main.state.m, self.opt_main.state.v):
-                out.append((f"adam_main.m.{n}", m_arr))
-                out.append((f"adam_main.v.{n}", v_arr))
-        if self.opt_disc is not None and self.opt_disc.state.m:
-            for (n, _), m_arr, v_arr in zip(self.named_disc, self.opt_disc.state.m, self.opt_disc.state.v):
-                out.append((f"adam_disc.m.{n}", m_arr))
-                out.append((f"adam_disc.v.{n}", v_arr))
+        out = [(f"param.{n}", p.data) for n, p in self.named_gen + self.named_disc]
+        for tag, opt, named in self._optimizers():
+            for (n, _), m_arr, v_arr in zip(named, opt.state.m, opt.state.v):
+                out += [(f"adam_{tag}.m.{n}", m_arr), (f"adam_{tag}.v.{n}", v_arr)]
         for n, st in self.models.power_states():
             if st.u is not None:
                 out.append((f"power.{n}", st.u))
@@ -495,15 +493,11 @@ class Trainer:
             if arr.shape != p.data.shape:
                 raise ValueError(f"checkpoint parameter {n}: shape {arr.shape} != {p.data.shape}")
             p.data = arr.copy()
-        if any(k.startswith("adam_main.") for k in arrays):
-            self.opt_main.state.m = [arrays[f"adam_main.m.{n}"].copy() for n, _ in self.named_gen]
-            self.opt_main.state.v = [arrays[f"adam_main.v.{n}"].copy() for n, _ in self.named_gen]
-        self.opt_main.state.step = int(meta["adam_step_main"])
-        if self.opt_disc is not None and any(k.startswith("adam_disc.") for k in arrays):
-            self.opt_disc.state.m = [arrays[f"adam_disc.m.{n}"].copy() for n, _ in self.named_disc]
-            self.opt_disc.state.v = [arrays[f"adam_disc.v.{n}"].copy() for n, _ in self.named_disc]
-        if self.opt_disc is not None:
-            self.opt_disc.state.step = int(meta["adam_step_disc"])
+        for tag, opt, named in self._optimizers():
+            if any(k.startswith(f"adam_{tag}.") for k in arrays):
+                opt.state.m = [arrays[f"adam_{tag}.m.{n}"].copy() for n, _ in named]
+                opt.state.v = [arrays[f"adam_{tag}.v.{n}"].copy() for n, _ in named]
+            opt.state.step = int(meta[f"adam_step_{tag}"])
         for n, st in self.models.power_states():
             key = f"power.{n}"
             if key in arrays:

@@ -1,16 +1,12 @@
 import os
-import sys
-from pathlib import Path
 
-# must happen before numpy loads: small per-step GEMMs are faster (and runs
-# reproducible) on one BLAS thread
+# must happen before numpy loads: one BLAS thread, the package default (see
+# warpsynth/__init__.py); results are bit-identical with two
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, os.environ.get("WARPSYNTH_THREADS", "1"))
 
 import numpy as np
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from warpsynth import selfcheck
 from warpsynth.datagen import Dataset, Sample, channel_swap, make_pair, procedural_image
 from warpsynth import trainer as TR
 
-import oracles
+from warpsynth import oracles
 
 
 def report(criterion, detail):

@@ -12,7 +12,7 @@ from warpsynth import deform as D
 from warpsynth.datagen import procedural_image
 from warpsynth.metrics import mde
 
-import oracles
+from warpsynth import oracles
 
 
 def grid(h, w):

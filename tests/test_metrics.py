@@ -9,7 +9,7 @@ from warpsynth.tensor import Tensor
 from warpsynth import deform as D
 from warpsynth import metrics as M
 
-import oracles
+from warpsynth import oracles
 
 
 def img(arr, mask=None):

@@ -139,13 +139,13 @@ class TestSpectralDiscriminator:
         x = Tensor(rng.normal(size=(3, 16, 16)))
         for _ in range(25):
             enc.forward(x)
-        worst = 0.0
-        for _, mod in enc._walk():
-            if getattr(mod, "sn", None) is not None:
-                w_eff = T.spectral_normalize(mod.w, mod.sn, update=False).data
-                sigma = np.linalg.svd(w_eff.reshape(w_eff.shape[0], -1), compute_uv=False)[0]
-                worst = max(worst, float(sigma))
-        assert worst <= 1.0 + 5e-2
+        weights = dict(enc.named_params())
+        sigmas = []
+        for name, state in enc.power_states():
+            w_eff = T.spectral_normalize(weights[name.removesuffix("u") + "w"], state, update=False).data
+            sigmas.append(np.linalg.svd(w_eff.reshape(w_eff.shape[0], -1), compute_uv=False)[0])
+        assert len(sigmas) == 7  # down0, block0.0, block0.1, down1, block1.0, block1.1, fc
+        assert max(sigmas) <= 1.0 + 5e-2
 
     def test_frozen_forward_keeps_power_state(self, rng):
         enc = N.Encoder(N.EncoderSpec(1, [4], out_dim=1, spectral_norm=True), rng)
@@ -178,6 +178,25 @@ class TestModelBundle:
         mb = N.build_models(3, 3, 32, seed=0, features_f=[4, 8], features_rig=[4, 8])
         names = [n for n, _ in mb.named_params()]
         assert len(names) == len(set(names))
+
+    def test_checkpoint_key_format(self):
+        # these names key every checkpoint array; changing them breaks loading older checkpoints
+        mb = N.build_models(3, 3, 32, seed=0, features_f=[4, 8], features_reg=[4, 8],
+                            features_rig=[4, 8], features_disc=[4, 8], adversarial_mode="eq-adv")
+        synth = """enc0.0.w enc0.0.b enc0.1.g enc0.1.b enc0.2.w enc0.2.b enc0.3.g enc0.3.b
+                   enc1.0.w enc1.0.b enc1.1.g enc1.1.b enc1.2.w enc1.2.b enc1.3.g enc1.3.b
+                   down0.w down0.b up0.w up0.b dec0.0.w dec0.0.b dec0.1.g dec0.1.b dec0.2.w dec0.2.b
+                   dec0.3.g dec0.3.b head.w head.b"""
+        velocity = """enc0.0.w enc0.0.b enc0.1.w enc0.1.b enc1.0.w enc1.0.b enc1.1.w enc1.1.b
+                      down0.w down0.b up0.w up0.b dec0.0.w dec0.0.b dec0.1.w dec0.1.b head.w head.b"""
+        encoder = """down0.w down0.b block0.0.w block0.0.b block0.1.w block0.1.b down1.w down1.b
+                     block1.0.w block1.0.b block1.1.w block1.1.b fc.w fc.b"""
+        expected = [f"{net}.{name}" for net, names in (("f", synth), ("h_rig", encoder), ("h_svf", velocity),
+                                                       ("g_svf", velocity), ("d", encoder))
+                    for name in names.split()]
+        assert [n for n, _ in mb.named_params()] == expected
+        assert [n for n, _ in mb.power_states()] == [
+            "d.down0.u", "d.block0.0.u", "d.block0.1.u", "d.down1.u", "d.block1.0.u", "d.block1.1.u", "d.fc.u"]
 
     def test_same_seed_same_init(self, rng):
         a = N.build_models(3, 3, 32, seed=5, features_f=[4, 8])

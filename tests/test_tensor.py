@@ -9,7 +9,7 @@ import pytest
 from warpsynth import tensor as T
 from warpsynth.tensor import Tensor
 
-import oracles
+from warpsynth import oracles
 
 
 class TestElementwise:

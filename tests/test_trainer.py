@@ -14,7 +14,7 @@ from warpsynth import losses as L
 from warpsynth.datagen import Dataset, Sample, channel_swap, make_pair, procedural_image
 from warpsynth import trainer as TR
 
-import oracles
+from warpsynth import oracles
 
 
 def tiny_dataset(n=4, size=32, seed=0, preset="SC"):

@@ -43,7 +43,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--deterministic", action="store_true",
-                   help="force single-worker fully reproducible execution")
+                   help="accepted and ignored: every run is deterministic given its seed")
     return p
 
 

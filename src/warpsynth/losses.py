@@ -3,8 +3,8 @@ similarity, and the non-rigidity regularizer.
 
 Stop-gradients are built in where the architecture requires them: the rigid
 and elastic cross-registration similarities see a detached prediction, the
-intra-modality losses see a detached registered label and a detached
-cross-registration velocity, and the discriminator loss sees only detached
+intra-modality losses see a detached registered label and detached
+cross-registration exponentials, and the discriminator loss sees only detached
 images. Masks gate every comparison; a comparison with no mutually valid
 pixel contributes an exact zero and raises an "empty" flag instead of
 failing.
@@ -165,19 +165,29 @@ def nonrigidity(d: Deformation, w_aff: float = 1.0, w_prop: float = 0.1, w_orth:
     return w_aff * t["affinity"] + w_orth * t["orthogonality"] + w_prop * t["properness"]
 
 
-def reg_cross(v_cross: Svf, weights: LossWeights) -> Tensor:
-    """Non-rigidity of the elastic cross-registration, both directions."""
-    fwd = nonrigidity(svf_exp(v_cross), weights.affinity, weights.properness, weights.orthogonality)
-    bwd = nonrigidity(svf_exp(-v_cross), weights.affinity, weights.properness, weights.orthogonality)
-    return fwd + bwd
+def reg_cross(v_cross: Svf, weights: LossWeights, exps=None) -> Tensor:
+    """Non-rigidity of the elastic cross-registration, both directions.
+
+    ``exps`` is the pair (exp(v_cross), exp(-v_cross)) when the caller already
+    has it; by default both are computed from the velocity.
+    """
+    fwd, bwd = exps or (svf_exp(v_cross), svf_exp(-v_cross))
+    args = (weights.affinity, weights.properness, weights.orthogonality)
+    return nonrigidity(fwd, *args) + nonrigidity(bwd, *args)
 
 
-def reg_intra(v_intra: Svf, v_cross: Svf, weights: LossWeights) -> Tensor:
+def reg_intra(v_intra: Svf, v_cross: Svf, weights: LossWeights, exps=None) -> Tensor:
     """Non-rigidity of the concatenated overall elastic deformation in both
-    directions; the cross-registration velocity is treated as constant."""
-    vc = Svf(v_cross.field.detach())
-    fwd = compose(svf_exp(v_intra), svf_exp(vc))
-    bwd = compose(svf_exp(-vc), svf_exp(-v_intra))
+    directions; the cross-registration velocity is treated as constant.
+
+    ``exps`` is (exp(v_intra), exp(-v_intra), exp(v_cross), exp(-v_cross))
+    when the caller already has them; by default they are computed from the
+    velocities. The cross pair is detached here either way.
+    """
+    e_intra, e_intra_inv, e_cross, e_cross_inv = exps or (
+        svf_exp(v_intra), svf_exp(-v_intra), svf_exp(v_cross), svf_exp(-v_cross))
+    fwd = compose(e_intra, e_cross.detached())
+    bwd = compose(e_cross_inv.detached(), e_intra_inv)
     args = (weights.affinity, weights.properness, weights.orthogonality)
     return nonrigidity(fwd, *args) + nonrigidity(bwd, *args)
 

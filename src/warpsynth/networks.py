@@ -141,9 +141,9 @@ def _act(x, activation, slope):
 class DoubleConv(Module):
     """Two 3x3 convolutions with optional group norm, activation after each."""
 
-    def __init__(self, rng, cin, cout, norm, activation, slope, spectral=False):
-        self.c1 = Conv(rng, cin, cout, 3, 1, 1, spectral=spectral)
-        self.c2 = Conv(rng, cout, cout, 3, 1, 1, spectral=spectral)
+    def __init__(self, rng, cin, cout, norm, activation, slope):
+        self.c1 = Conv(rng, cin, cout, 3, 1, 1)
+        self.c2 = Conv(rng, cout, cout, 3, 1, 1)
         self.n1 = GroupNorm(cout) if norm == "group" else None
         self.n2 = GroupNorm(cout) if norm == "group" else None
         self.activation, self.slope = activation, slope

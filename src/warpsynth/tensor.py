@@ -482,15 +482,32 @@ def _corr2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     return (w.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo)
 
 
-def _col2im(cols: np.ndarray, k: int, ho: int, wo: int, stride: int, h: int, w: int) -> np.ndarray:
+def _fold_range(a: int, n: int, stride: int, padding: int, size: int):
+    """Source positions i in [0, n) of kernel offset a that land inside an
+    axis of ``size`` after dropping ``padding`` (padded position a + i*stride),
+    as a (source, destination) pair of slices."""
+    lo = max(0, -((a - padding) // stride))
+    hi = min(n - 1, (size - 1 + padding - a) // stride)
+    if hi < lo:
+        return slice(0, 0), slice(0, 0)
+    start = a + lo * stride - padding
+    return slice(lo, hi + 1), slice(start, start + (hi - lo) * stride + 1, stride)
+
+
+def _col2im(cols: np.ndarray, k: int, ho: int, wo: int, stride: int, h: int, w: int,
+            padding: int = 0) -> np.ndarray:
     """Adjoint of _im2col: fold a (C*k*k, Ho*Wo) matrix back onto (C, h, w),
-    summing overlapping contributions."""
+    summing overlapping contributions. With ``padding``, the patches were cut
+    from the input zero-padded on each side, and what falls on the padding is
+    dropped rather than summed and cropped."""
     c = cols.shape[0] // (k * k)
     view = cols.reshape(c, k, k, ho, wo)
     out = np.zeros((c, h, w), dtype=cols.dtype)
     for a in range(k):
+        ys, yd = _fold_range(a, ho, stride, padding, h)
         for b in range(k):
-            out[:, a:a + (ho - 1) * stride + 1:stride, b:b + (wo - 1) * stride + 1:stride] += view[:, a, b]
+            xs, xd = _fold_range(b, wo, stride, padding, w)
+            out[:, yd, xd] += view[:, a, b, ys, xs]
     return out
 
 
@@ -512,18 +529,28 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
     if (h + 2 * padding - k) % stride or (wd + 2 * padding - k) % stride:
         raise ValueError(f"non-integral output extent for input {x.data.shape}, k={k}, stride={stride}, padding={padding}")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    xp = x.data
+    if padding:
+        xp = np.zeros((c_in, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
+        xp[:, padding:padding + h, padding:padding + wd] = x.data
     cols, ho, wo = _im2col(xp, k, stride)
-    out = (w.data.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo) + b.data[:, None, None]
+    out = (w.data.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo)
+    out += b.data[:, None, None]
 
     def grad_fn(g):
-        gb = g.sum(axis=(1, 2))
-        gw = (g.reshape(c_out, -1) @ cols.T).reshape(w.data.shape)
-        # input gradient: patch-space matmul, folded back onto the image
-        gcols = w.data.reshape(c_out, -1).T @ g.reshape(c_out, -1)
-        gxp = _col2im(gcols, k, ho, wo, stride, h + 2 * padding, wd + 2 * padding)
-        gx = gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
-        return ((x, np.ascontiguousarray(gx)), (w, gw), (b, gb))
+        # only the gradients some input needs: a network's first layer reads
+        # a constant image, whose input gradient would be a wasted fold
+        g2 = g.reshape(c_out, -1)
+        grads = []
+        if x.requires_grad:
+            # patch-space matmul, folded back onto the unpadded image
+            gcols = w.data.reshape(c_out, -1).T @ g2
+            grads.append((x, _col2im(gcols, k, ho, wo, stride, h, wd, padding)))
+        if w.requires_grad:
+            grads.append((w, (g2 @ cols.T).reshape(w.data.shape)))
+        if b.requires_grad:
+            grads.append((b, g.sum(axis=(1, 2))))
+        return grads
 
     return _make(out, (x, w, b), grad_fn)
 
@@ -550,10 +577,14 @@ def conv_transpose2d(x, w, b, stride: int = 2):
     out = _col2im(ocols, k, hi, wi, stride, out_h, out_w) + b.data[:, None, None]
 
     def grad_fn(g):
-        gb = g.sum(axis=(1, 2))
-        gx = _corr2d(g, w.data, stride)
-        gw = _ct_wgrad(x.data, g, k, stride)
-        return ((x, gx), (w, gw), (b, gb))
+        grads = []
+        if x.requires_grad:
+            grads.append((x, _corr2d(g, w.data, stride)))
+        if w.requires_grad:
+            grads.append((w, _ct_wgrad(x.data, g, k, stride)))
+        if b.requires_grad:
+            grads.append((b, g.sum(axis=(1, 2))))
+        return grads
 
     return _make(out, (x, w, b), grad_fn)
 
@@ -629,27 +660,34 @@ def bilinear_sample(image, coords, border: str = "zeros"):
         gy_open = gx_open = None
 
     def grad_fn(g):
-        gimg = np.zeros_like(img)
-        flat = gimg.reshape(c, -1)
-        npix = h * w
-        for yc, xc, inb, wt in (
-            (y0c, x0c, in_y0 & in_x0, w00),
-            (y0c, x1c, in_y0 & in_x1, w01),
-            (y1c, x0c, in_y1 & in_x0, w10),
-            (y1c, x1c, in_y1 & in_x1, w11),
-        ):
-            idx = (yc * w + xc).ravel()
-            contrib = (g * (wt * inb)).reshape(c, -1)
-            for ch in range(c):
-                flat[ch] += np.bincount(idx, weights=contrib[ch], minlength=npix)
-        d_dy = (v10 - v00) * (1.0 - fx) + (v11 - v01) * fx
-        d_dx = (v01 - v00) * (1.0 - fy) + (v11 - v10) * fy
-        gcy = (g * d_dy).sum(axis=0)
-        gcx = (g * d_dx).sum(axis=0)
-        if border == "clamp":
-            gcy = gcy * gy_open
-            gcx = gcx * gx_open
-        return ((image, gimg), (coords, np.stack([gcy, gcx])))
+        # warps of constant images and warps along constant maps are common:
+        # each side's gradient is computed only when it is needed
+        grads = []
+        if image.requires_grad:
+            gimg = np.zeros_like(img)
+            flat = gimg.reshape(c, -1)
+            npix = h * w
+            for yc, xc, inb, wt in (
+                (y0c, x0c, in_y0 & in_x0, w00),
+                (y0c, x1c, in_y0 & in_x1, w01),
+                (y1c, x0c, in_y1 & in_x0, w10),
+                (y1c, x1c, in_y1 & in_x1, w11),
+            ):
+                idx = (yc * w + xc).ravel()
+                contrib = (g * (wt * inb)).reshape(c, -1)
+                for ch in range(c):
+                    flat[ch] += np.bincount(idx, weights=contrib[ch], minlength=npix)
+            grads.append((image, gimg))
+        if coords.requires_grad:
+            d_dy = (v10 - v00) * (1.0 - fx) + (v11 - v01) * fx
+            d_dx = (v01 - v00) * (1.0 - fy) + (v11 - v10) * fy
+            gcy = (g * d_dy).sum(axis=0)
+            gcx = (g * d_dx).sum(axis=0)
+            if border == "clamp":
+                gcy = gcy * gy_open
+                gcx = gcx * gx_open
+            grads.append((coords, np.stack([gcy, gcx])))
+        return grads
 
     return _make(out, (image, coords), grad_fn)
 

@@ -115,6 +115,8 @@ class TrainConfig:
     features_rig: tuple = (16, 32, 64)
     features_disc: tuple = ()
     non_saturating_gan: bool = False
+    # read nowhere: every run is deterministic given the seed. Kept because
+    # acceptance criterion 8 passes it, and dropping it would edit that gate.
     deterministic: bool = True
     data_manifest: str = ""
     # images are stored in [0, intensity_scale]; networks and losses see them
@@ -213,23 +215,27 @@ def select_best_epoch(history) -> int:
 
 @dataclass
 class RegForward:
-    """Everything one registration pass produces for a sample."""
+    """Everything one registration pass produces for a sample.
 
-    pred: Image
+    It owns the pass's velocity exponentials, each computed once on the tape;
+    consumers that must not send gradient through one take ``.detached()``.
+    """
+
     rigid: Deformation
     v_cross: Svf
+    e_cross: Deformation  # exp(v_cross)
+    e_cross_inv: Deformation  # exp(-v_cross)
     d_cross: Deformation
     y_reg: Image
     v_intra: Svf
-    d_intra: Deformation
+    d_intra: Deformation  # exp(-v_intra)
 
     def overall_deformation(self) -> Deformation:
         """Concatenation of both registration stages: the map that carries
         the prediction onto the misaligned-label grid (comparable with the
         ground-truth deformation)."""
         inv_rigid = self.rigid.inverse_affine()
-        inv_elastic = svf_exp(-Svf(self.v_cross.field.detach()))
-        return compose(compose(inv_rigid, inv_elastic), self.d_intra)
+        return compose(compose(inv_rigid, self.e_cross_inv.detached()), self.d_intra)
 
 
 def _mask_channel(img: Image) -> Tensor:
@@ -300,16 +306,15 @@ class Trainer:
         rigid = rigid_to_deformation(params)
 
         v_cross = Svf(mb.h_svf.forward(reg_stack))
-        d_cross = compose(svf_exp(v_cross), rigid.detached())
+        e_cross, e_cross_inv = svf_exp(v_cross), svf_exp(-v_cross)
+        d_cross = compose(e_cross, rigid.detached())
         y_reg = warp(y_tilde, d_cross).detached()
 
-        with T.no_grad():
-            inv_disp = svf_exp(-Svf(v_cross.field.detach())).displacement(h, w)
+        inv_disp = e_cross_inv.detached().displacement(h, w)
         g_stack = T.concat([pred.data, y_reg.data, inv_disp, _mask_channel(y_reg)])
         v_intra = Svf(mb.g_svf.forward(g_stack))
-        d_intra = svf_exp(-v_intra)
-        return RegForward(pred=pred, rigid=rigid, v_cross=v_cross, d_cross=d_cross,
-                          y_reg=y_reg, v_intra=v_intra, d_intra=d_intra)
+        return RegForward(rigid=rigid, v_cross=v_cross, e_cross=e_cross, e_cross_inv=e_cross_inv,
+                          d_cross=d_cross, y_reg=y_reg, v_intra=v_intra, d_intra=svf_exp(-v_intra))
 
     # -- one optimization step -----------------------------------------------------
 
@@ -349,7 +354,7 @@ class Trainer:
             fw = self._registration_forward(x, y_tilde, pred)
             rig_sim, e1 = rigid_cross_sim(pred, y_tilde, fw.rigid)
             cross_sim, e2 = elastic_cross_sim(pred, y_tilde, fw.d_cross)
-            cross_reg = reg_cross(fw.v_cross, self.weights)
+            cross_reg = reg_cross(fw.v_cross, self.weights, (fw.e_cross, fw.e_cross_inv))
             report.record("rig_sim", rig_sim, e1)
             report.record("cross_sim", cross_sim, e2)
             report.record("cross_reg", cross_reg)
@@ -361,7 +366,8 @@ class Trainer:
                 intra_sim, e3 = similarity_equivariance(pred_t, fw.y_reg, fw.d_intra, t_inv)
             else:
                 intra_sim, e3 = similarity_default(pred, fw.y_reg, fw.d_intra)
-            intra_reg = reg_intra(fw.v_intra, fw.v_cross, self.weights)
+            intra_reg = reg_intra(fw.v_intra, fw.v_cross, self.weights,
+                                  (svf_exp(fw.v_intra), fw.d_intra, fw.e_cross, fw.e_cross_inv))
             report.record("intra_sim", intra_sim, e3)
             report.record("intra_reg", intra_reg)
             terms.update(rig_sim=rig_sim, cross_sim=cross_sim, cross_reg=cross_reg,

@@ -25,6 +25,27 @@ def img_var(arr, mask=None):
     return D.Image(Tensor(arr, requires_grad=True), D.full_mask(*arr.shape[1:]) if mask is None else mask)
 
 
+def exp_pair(v):
+    return D.svf_exp(v), D.svf_exp(-v)
+
+
+def reg_cross_checked(v):
+    """reg_cross from the bare SVF, checked equal to the value from
+    precomputed exponentials (the form the trainer passes)."""
+    bare = L.reg_cross(v, L.LossWeights())
+    assert L.reg_cross(v, L.LossWeights(), exp_pair(v)).item() == bare.item()
+    return bare
+
+
+def reg_intra_checked(v_intra, v_cross):
+    """reg_intra from the bare SVFs, checked equal to the value from
+    precomputed exponentials."""
+    bare = L.reg_intra(v_intra, v_cross, L.LossWeights())
+    given = L.reg_intra(v_intra, v_cross, L.LossWeights(), exp_pair(v_intra) + exp_pair(v_cross))
+    assert given.item() == bare.item()
+    return bare
+
+
 class TestMaskedL1:
     def test_identical_images(self, rng):
         a = img(rng.uniform(size=(2, 5, 5)))
@@ -225,34 +246,37 @@ class TestNonrigidity:
 
     def test_reg_cross_zero_field(self):
         v = D.Svf(Tensor(np.zeros((2, 8, 8))))
-        assert L.reg_cross(v, L.LossWeights()).item() == 0.0
+        assert reg_cross_checked(v).item() == 0.0
 
     def test_reg_cross_positive_for_bump(self):
         v = D.gaussian_svf((28.8, 67.2), (14.4, 19.2), (0.48, -0.48), 96, 96)
-        assert L.reg_cross(v, L.LossWeights()).item() > 0.0
+        assert reg_cross_checked(v).item() > 0.0
 
     def test_reg_cross_evaluates_both_signs(self, rng):
         v = D.Svf(Tensor(rng.normal(size=(2, 10, 10)) * 0.4))
-        a = L.reg_cross(v, L.LossWeights()).item()
-        b = L.reg_cross(-v, L.LossWeights()).item()
+        a = reg_cross_checked(v).item()
+        b = reg_cross_checked(-v).item()
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_reg_intra_zero_fields(self):
         z = D.Svf(Tensor(np.zeros((2, 8, 8))))
-        assert L.reg_intra(z, z, L.LossWeights()).item() == 0.0
+        assert reg_intra_checked(z, z).item() == 0.0
 
     def test_reg_intra_cancelling_fields(self, rng):
         v = D.gaussian_svf((12, 12), (8, 8), (1.0, -1.0), 24, 24)
-        val = L.reg_intra(D.Svf(T.neg(v.field)), v, L.LossWeights()).item()
+        val = reg_intra_checked(D.Svf(T.neg(v.field)), v).item()
         # composition of exp(-v) with exp(v) is near identity
         assert val < 1e-3
 
     def test_reg_intra_no_gradient_to_cross(self, rng):
         vc = Tensor(rng.normal(size=(2, 8, 8)) * 0.2, requires_grad=True)
         vi = Tensor(rng.normal(size=(2, 8, 8)) * 0.2, requires_grad=True)
-        L.reg_intra(D.Svf(vi), D.Svf(vc), L.LossWeights()).backward()
-        assert vc.grad is None
-        assert vi.grad is not None and np.any(vi.grad)
+        # the precomputed cross exponentials are on the tape, as in the trainer
+        for exps in (None, exp_pair(D.Svf(vi)) + exp_pair(D.Svf(vc))):
+            vi.grad = None
+            L.reg_intra(D.Svf(vi), D.Svf(vc), L.LossWeights(), exps).backward()
+            assert vc.grad is None
+            assert vi.grad is not None and np.any(vi.grad)
 
 
 class _ConstantD:

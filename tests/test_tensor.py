@@ -12,6 +12,23 @@ from warpsynth.tensor import Tensor
 from warpsynth import oracles
 
 
+def assert_each_gradient_alone(op, arrays):
+    """Backward passes compute only the gradients some input needs: with one
+    input requiring grad, it alone gets a gradient, and that gradient is
+    exactly what it is when every input requires grad."""
+
+    def grads(needed):
+        ts = [Tensor(a, requires_grad=i in needed) for i, a in enumerate(arrays)]
+        T.mean(op(*ts)).backward()
+        return [t.grad for t in ts]
+
+    every = grads(set(range(len(arrays))))
+    for i in range(len(arrays)):
+        alone = grads({i})
+        assert np.array_equal(alone[i], every[i])
+        assert all(g is None for j, g in enumerate(alone) if j != i)
+
+
 class TestElementwise:
     def test_mean(self):
         assert T.mean(Tensor([1.0, 2.0, 3.0, 6.0])).item() == 3.0
@@ -69,6 +86,18 @@ class TestConv:
         assert T.grad_check(lambda z: T.mean(T.conv2d(x, z, b, 1, 1) * pert), w) < 1e-5
         assert T.grad_check(lambda z: T.mean(T.conv2d(x, w, z, 1, 1) * pert), b) < 1e-5
 
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    def test_gradient_of_each_input_alone_matches_all(self, rng, stride, padding):
+        # the input gradient folds patches back and drops what lands on the
+        # padding: check it on strided and padded layouts too
+        arrays = (rng.normal(size=(2, 7, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(3,)))
+        ho = (7 + 2 * padding - 3) // stride + 1
+        pert = Tensor(rng.normal(size=(3, ho, ho)))
+        x, w, b = (Tensor(a) for a in arrays)
+        x.requires_grad = True
+        assert T.grad_check(lambda z: T.mean(T.conv2d(z, w, b, stride, padding) * pert), x) < 1e-5
+        assert_each_gradient_alone(lambda *ts: T.conv2d(*ts, stride, padding) * pert, arrays)
+
     def test_non_integral_extent_rejected(self, rng):
         x = Tensor(rng.normal(size=(1, 5, 5)))
         w = Tensor(rng.normal(size=(1, 1, 2, 2)))
@@ -104,6 +133,11 @@ class TestConvTranspose:
         pert = Tensor(rng.normal(size=(2, 6, 6)))
         assert T.grad_check(lambda z: T.mean(T.conv_transpose2d(z, w, b, 2) * pert), x) < 1e-5
         assert T.grad_check(lambda z: T.mean(T.conv_transpose2d(x, z, b, 2) * pert), w) < 1e-5
+
+    def test_gradient_of_each_input_alone_matches_all(self, rng):
+        pert = Tensor(rng.normal(size=(2, 7, 7)))
+        arrays = (rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(2,)))
+        assert_each_gradient_alone(lambda *ts: T.conv_transpose2d(*ts, 2) * pert, arrays)
 
     def test_unsupported_stride_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -215,6 +249,16 @@ class TestBilinear:
         pert = Tensor(rng.normal(size=(2, 5, 5)))
         err = T.grad_check(lambda z: T.mean(T.bilinear_sample(img, z) * pert), coords, eps=1e-6)
         assert err < 1e-4
+
+
+    def test_gradient_of_each_input_alone_matches_both(self, rng):
+        img = rng.normal(size=(2, 6, 6))
+        coords = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij")) * 1.3 - 0.6
+        pert = Tensor(rng.normal(size=(2, 5, 5)))
+
+        for border in ("zeros", "clamp"):
+            assert_each_gradient_alone(lambda *ts: T.bilinear_sample(*ts, border=border) * pert,
+                                       (img, coords))
 
 
 class TestDetachBackward:

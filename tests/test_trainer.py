@@ -225,6 +225,28 @@ class TestSteps:
         _, report, _, _ = tr.build_losses(s.x, s.y_tilde)
         assert math.isfinite(report.total)
 
+    def test_each_svf_exponential_computed_once(self, monkeypatch):
+        # exp(+-v_cross) and exp(+-v_intra): four per step; infer needs no exp(v_intra)
+        calls = []
+        real = D.svf_exp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (D, L, TR):
+            monkeypatch.setattr(module, "svf_exp", counting)
+        ds = tiny_dataset()
+        s = ds.train[0]
+        for config in ("EqSim+Com", "DefSim"):
+            tr = TR.Trainer(tiny_cfg(config=config), ds)
+            calls.clear()
+            tr.build_losses(s.x, s.y_tilde)
+            assert len(calls) == 4, config
+        calls.clear()
+        tr.infer(s.x, s.y_tilde)
+        assert len(calls) == 3
+
 
 class TestValidation:
     def test_noreg_rule_ignores_deformations(self):

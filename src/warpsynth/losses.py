@@ -83,12 +83,10 @@ def similarity_equivariance(pred_t: Image, label: Image, d: Deformation, t_inv: 
     return masked_l1(warp(pred_t, compose(d, t_inv)), label)
 
 
-def commutation_loss(f, x: Image, t: Deformation, t_inv: Deformation | None = None):
-    """L1 between warp-then-predict and predict-then-warp; ``f`` maps Image
-    to Image. ``t_inv`` is accepted alongside the sampled transform pair but
-    the comparison only needs ``t``."""
-    del t_inv
-    return masked_l1(warp(f(x), t), f(warp(x, t)))
+def commutation_loss(pred: Image, pred_t: Image, t: Deformation):
+    """L1 between the prediction ``pred`` = f(x) warped by ``t`` and the
+    prediction made from the warped input, ``pred_t`` = f(warp(x, t))."""
+    return masked_l1(warp(pred, t), pred_t)
 
 
 def rigid_cross_sim(pred: Image, y_tilde: Image, r: Deformation):

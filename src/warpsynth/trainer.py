@@ -26,8 +26,8 @@ from . import tensor as T
 from .tensor import Adam, Tensor
 from .deform import (Deformation, Image, NonFiniteField, Svf, TransformConfig, compose,
                      rigid_to_deformation, sample_equivariance_transform, svf_exp, warp)
-from .losses import (LossReport, LossWeights, adversarial_losses, elastic_cross_sim,
-                     masked_l1, reg_cross, reg_intra, rigid_cross_sim,
+from .losses import (LossReport, LossWeights, adversarial_losses, commutation_loss,
+                     elastic_cross_sim, masked_l1, reg_cross, reg_intra, rigid_cross_sim,
                      similarity_default, similarity_equivariance, total_loss)
 from .networks import ModelBundle, build_models, rigid_head
 from .datagen import Dataset, Sample, channel_swap
@@ -374,7 +374,7 @@ class Trainer:
                          intra_sim=intra_sim, intra_reg=intra_reg)
 
             if plan.use_com:
-                com, e4 = masked_l1(warp(pred, t), pred_t)
+                com, e4 = commutation_loss(pred, pred_t, t)
                 report.record("com", com, e4)
                 terms["com"] = com
 

@@ -15,7 +15,8 @@ def rng():
 
 
 # The desk-scale reproduction (acceptance criterion 7) trains real models for
-# about 13 of the suite's 14 minutes; everything else takes about a minute.
+# about 12.5-13 of the suite's 14-16.5 minutes on a 2-core VM; everything else
+# takes about 85 s.
 # It runs last, so that every other result is reported before it starts.
 SLOWEST = "test_criterion_7_synthetic_reproduction"
 

@@ -7,23 +7,15 @@ of minutes. Run with ``pytest tests/test_acceptance.py -s`` to see the
 per-criterion lines as they complete.
 """
 
-import json
-import math
 import time
 
 import numpy as np
 import pytest
 
-from warpsynth import tensor as T
-from warpsynth.tensor import Tensor
 from warpsynth import deform as D
-from warpsynth import losses as L
-from warpsynth import metrics as M
 from warpsynth import selfcheck
-from warpsynth.datagen import Dataset, Sample, channel_swap, make_pair, procedural_image
+from warpsynth.datagen import Dataset, Sample, make_pair, procedural_image
 from warpsynth import trainer as TR
-
-from warpsynth import oracles
 
 
 def report(criterion, detail):
@@ -48,20 +40,7 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_diffeomorphism_suite():
-    rng = np.random.default_rng(20240)
-    worst_fwd = worst_inv = 0.0
-    for _ in range(50):
-        mu = rng.uniform(0, 64, size=2)
-        sigma = rng.uniform(10, 30, size=2)
-        m = rng.uniform(-10, 10, size=2)
-        v = D.gaussian_svf(mu, sigma, m, 64, 64)
-        d = D.svf_exp(v)
-        ref = oracles.euler_flow(v.field.data, steps=1000)
-        err = float(np.sqrt(((d.coords.data - ref) ** 2).sum(axis=0)).mean())
-        worst_fwd = max(worst_fwd, err)
-        rt = D.compose(D.svf_exp(v), D.svf_exp(-v))
-        dev = np.sqrt(((rt.coords.data - D._grid_array(64, 64)) ** 2).sum(axis=0))
-        worst_inv = max(worst_inv, float(dev[rt.mask].mean()))
+    worst_fwd, worst_inv = selfcheck.diffeo_errors(np.random.default_rng(20240), 50, 64)
     assert worst_fwd < 0.05, worst_fwd
     assert worst_inv < 0.1, worst_inv
     report(2, f"50 SVFs: max Euler deviation {worst_fwd:.4f} px, max inverse deviation {worst_inv:.4f} px")
@@ -71,19 +50,9 @@ def test_criterion_2_diffeomorphism_suite():
 
 
 def test_criterion_3_rigidity_penalty():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(100):
-        p = D.RigidParams(rng.uniform(-math.pi / 2, math.pi / 2),
-                          tuple(rng.uniform(-6, 6, size=2)), (7.5, 7.5))
-        val = float(L.nonrigidity(D.rigid_to_deformation(p), h=16, w=16).data)
-        worst = max(worst, val)
+    worst = selfcheck.rigid_penalty(np.random.default_rng(3), 100, 16)
     assert worst < 1e-9, worst
-    scale2 = D.Deformation.from_affine(D.Affine(2.0, 0.0, 0.0, 2.0, 0.0, 0.0))
-    terms = L.nonrigidity_terms(scale2, 12, 12)
-    orth = float(terms["orthogonality"].data)
-    prop = float(terms["properness"].data)
-    aff = float(terms["affinity"].data)
+    orth, prop, aff = selfcheck.scaling_terms(12)
     assert abs(orth - 18.0) < 1e-6 and abs(prop - 9.0) < 1e-6 and aff < 1e-6
     report(3, f"100 rigid deformations max penalty {worst:.2e}; scaling-by-2 gives orth {orth:.6f}, prop {prop:.6f}")
 
@@ -92,24 +61,9 @@ def test_criterion_3_rigidity_penalty():
 
 
 def test_criterion_4_metric_oracles():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(50):
-        a = rng.uniform(0, 255, size=(3, 32, 32))
-        b = rng.uniform(0, 255, size=(3, 32, 32))
-        worst = max(worst, abs(M.psnr(a, b, 255) - oracles.psnr_loop(a, b, 255)))
-        worst = max(worst, abs(M.ssim(a, b, 255) - oracles.ssim_loop(a, b, 255)))
-        worst = max(worst, abs(M.nmi(a, b, 16) - oracles.nmi_loop(a, b, 16)))
-        d1 = rng.normal(size=(2, 32, 32)) * 4 + D._grid_array(32, 32)
-        d2 = rng.normal(size=(2, 32, 32)) * 4 + D._grid_array(32, 32)
-        got = M.mde(D.Deformation.from_coords(Tensor(d1)), D.Deformation.from_coords(Tensor(d2)))
-        worst = max(worst, abs(got - oracles.mde_loop(d1, d2)))
+    worst, exact = selfcheck.metric_errors(np.random.default_rng(4), 50, 32)
     assert worst < 1e-9, worst
-    x = rng.uniform(0, 255, size=(3, 32, 32))
-    assert M.nmi(x, x) == 2.0
-    assert M.ssim(x, x, 255) == 1.0
-    ident = D.identity_map(32, 32)
-    assert M.mde(ident, D.identity_map(32, 32)) == 0.0
+    assert exact, "nmi(x, x) = 2, ssim(x, x) = 1 and mde(identity, identity) = 0 must hold exactly"
     report(4, f"50 random 32x32 instances, max |metric - loop oracle| {worst:.2e}; exact identities hold")
 
 
@@ -117,23 +71,8 @@ def test_criterion_4_metric_oracles():
 
 
 def test_criterion_5_equivariance_exactness():
-    rng = np.random.default_rng(5)
     tol = 0.02 * 255
-    worst_ortho = worst_rot = worst_sim = 0.0
-    for trial in range(10):
-        img = procedural_image(np.random.default_rng(50 + trial), 64, 64, noise_amplitude=0.0)
-        t, t_inv = D.sample_equivariance_transform(rng, D.TransformConfig(0.0, True, True), 64, 64)
-        com = float(L.commutation_loss(channel_swap, img, t, t_inv)[0].data)
-        worst_ortho = max(worst_ortho, com)
-        t15, t15i = D.sample_equivariance_transform(rng, D.TransformConfig(15.0, False, False), 64, 64)
-        com15 = float(L.commutation_loss(channel_swap, img, t15, t15i)[0].data)
-        worst_rot = max(worst_rot, com15)
-
-        sd = D.simulate_deformation(D.PRESETS["SC"].scaled(64), rng, 64, 64)
-        y_tilde = D.warp(channel_swap(img), sd.deformation)
-        pred_t = channel_swap(D.warp(img, t15))
-        sim = float(L.similarity_equivariance(pred_t, y_tilde, sd.deformation, t15i)[0].data)
-        worst_sim = max(worst_sim, sim)
+    worst_ortho, worst_rot, worst_sim = selfcheck.equivariance_errors(np.random.default_rng(5), 10, 64)
     assert worst_ortho == 0.0, worst_ortho
     assert worst_rot < tol, worst_rot
     assert worst_sim < tol, worst_sim
@@ -142,48 +81,6 @@ def test_criterion_5_equivariance_exactness():
 
 
 # 6 ---------------------------------------------------------------------------
-
-
-def _routing_case(config, expected):
-    rng = np.random.default_rng(6)
-    params = D.PRESETS["SC"].scaled(32)
-    samples = []
-    for _ in range(2):
-        x = procedural_image(rng, 32, 32)
-        x, y_tilde, sd = make_pair(x, params, rng)
-        samples.append(Sample(x=x, y_tilde=y_tilde, d_true=sd.deformation))
-    ds = Dataset(train=samples, val=samples[:1], test=samples[:1], image_size=32)
-    cfg = TR.TrainConfig(config=config, epochs=1, seed=0, features_f=(4, 8), features_reg=(4, 8),
-                         features_rig=(4, 8), features_disc=(4, 8))
-    tr = TR.Trainer(cfg, ds)
-    # move the zero-initialized output heads to a generic point: at exactly
-    # zero velocity the regularizers sit on a stationary point and would
-    # report vacuous zero gradients
-    pert = np.random.default_rng(60)
-    for net in (tr.models.h_svf, tr.models.g_svf):
-        net.head.w.data += pert.normal(size=net.head.w.data.shape) * 0.2
-        net.head.b.data += pert.normal(size=net.head.b.data.shape) * 0.2
-    tr.models.h_rig.fc.w.data += pert.normal(size=tr.models.h_rig.fc.w.data.shape) * 0.1
-    terms, _, _, d_loss = tr.build_losses(ds.train[0].x, ds.train[0].y_tilde)
-    if d_loss is not None:
-        terms = {**terms, "adv_d": d_loss}
-
-    groups = {name: net.params() for name, net in
-              (("f", tr.models.f), ("h_rig", tr.models.h_rig), ("h_svf", tr.models.h_svf),
-               ("g_svf", tr.models.g_svf), ("d", tr.models.d)) if net is not None}
-    leaks, missing = [], []
-    for term, allowed in expected.items():
-        for ps in groups.values():
-            for p in ps:
-                p.grad = None
-        terms[term].backward()
-        for gname, ps in groups.items():
-            has = any(p.grad is not None and np.any(p.grad) for p in ps)
-            if gname in allowed and not has:
-                missing.append(f"{config}:{term}->{gname}")
-            if gname not in allowed and has:
-                leaks.append(f"{config}:{term}->{gname}")
-    return leaks, missing
 
 
 def test_criterion_6_stop_gradient_routing():
@@ -198,12 +95,10 @@ def test_criterion_6_stop_gradient_routing():
         "adv_d": {"d"},
     }
     def_expected = {k: v for k, v in eq_expected.items() if k not in ("com", "adv_g", "adv_d")}
-    leaks, missing = _routing_case("EqSim+Com+EqAdv", eq_expected)
-    l2, m2 = _routing_case("DefSim", def_expected)
-    leaks += l2
-    missing += m2
-    assert not leaks, f"gradient reached excluded parameter sets: {leaks}"
-    assert not missing, f"gradient missing on attributed parameter sets: {missing}"
+    assert selfcheck.ROUTES == eq_expected, "the selftest's attribution table differs from the gate's"
+    for config, expected in (("EqSim+Com+EqAdv", eq_expected), ("DefSim", def_expected)):
+        routes = selfcheck.gradient_routes(config, selfcheck.tiny_dataset(np.random.default_rng(6), 2, 32))
+        assert routes == expected, f"{config}: per-term gradient routes differ from the attribution"
     report(6, "per-term backward touches exactly the attributed sub-networks "
               "(EqSim+Com+EqAdv: 8 terms; DefSim: 5 terms)")
 
@@ -288,36 +183,12 @@ def test_criterion_7_synthetic_reproduction(sc_dataset, tmp_path):
 # 8 ---------------------------------------------------------------------------
 
 
-def _mini_dataset():
-    rng = np.random.default_rng(8)
-    params = D.PRESETS["SC"].scaled(32)
-    samples = []
-    for _ in range(4):
-        x = procedural_image(rng, 32, 32)
-        x, y_tilde, sd = make_pair(x, params, rng)
-        samples.append(Sample(x=x, y_tilde=y_tilde, d_true=sd.deformation))
-    return Dataset(train=samples, val=samples[:1], test=samples[:1], image_size=32)
-
-
 def test_criterion_8_determinism(tmp_path):
     cfg_kw = dict(config="EqSim+Com", epochs=2, seed=0, features_f=(4, 8),
                   features_reg=(4, 8), features_rig=(4, 8), deterministic=True)
-    logs = []
-    for run in range(2):
-        tr = TR.Trainer(TR.TrainConfig(**cfg_kw), _mini_dataset())
-        tr.train(tmp_path / f"det{run}", max_steps=3)
-        logs.append((tmp_path / f"det{run}" / "losses.jsonl").read_bytes())
-    assert logs[0] == logs[1] and logs[0]
-
-    tr_full = TR.Trainer(TR.TrainConfig(**cfg_kw), _mini_dataset())
-    tr_full.train(tmp_path / "full")
-    full = (tmp_path / "full" / "losses.jsonl").read_text().splitlines()
-    tr_a = TR.Trainer(TR.TrainConfig(**cfg_kw), _mini_dataset())
-    tr_a.train(tmp_path / "part", max_steps=3)  # interrupts mid-epoch
-    tr_b = TR.Trainer.from_checkpoint(tmp_path / "part" / "checkpoint", _mini_dataset())
-    tr_b.train(tmp_path / "resumed")
-    resumed = (tmp_path / "resumed" / "losses.jsonl").read_text().splitlines()
-    assert resumed == full[3:]
+    faults = selfcheck.determinism_faults(
+        tmp_path, lambda: selfcheck.tiny_dataset(np.random.default_rng(8), 4, 32), 3, **cfg_kw)
+    assert not faults, faults
     report(8, "first 3 steps bit-identical across runs; mid-epoch checkpoint resume bit-identical")
 
 

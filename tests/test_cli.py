@@ -9,6 +9,7 @@ import pytest
 
 from warpsynth import cli
 from warpsynth import fileio
+from warpsynth import selfcheck
 
 
 TINY_TRAIN = ["--set", "config=EqSim+Com", "--set", "epochs=1",
@@ -135,6 +136,19 @@ class TestVerificationVerbs:
                         "--set", "tolerance=1e-12"])
         capsys.readouterr()
         assert code == 3
+
+    def test_selftest_passes(self, tmp_path, capsys):
+        code = cli.run(["selftest", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("PASS") == 9 and "FAIL" not in out
+
+    def test_selftest_measurement_past_bound_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(selfcheck, "rigid_penalty", lambda rng, n, size: 1.0)
+        code = cli.run(["selftest", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.count("FAIL") == 1 and "FAIL  rigidity/zero_on_rigid" in out
 
     def test_config_file_and_override(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.txt"

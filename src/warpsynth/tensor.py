@@ -35,10 +35,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
@@ -48,16 +44,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._grad_fn = None
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad=False):
-        return Tensor(np.zeros(shape, dtype=DTYPE), requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad=False):
-        return Tensor(np.ones(shape, dtype=DTYPE), requires_grad)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -394,10 +380,6 @@ def leaky_relu(a, slope: float = 0.01):
     return _make(a.data * factor, (a,), lambda g: ((a, g * factor),))
 
 
-def relu(a):
-    return leaky_relu(a, 0.0)
-
-
 # -- dense / pooling / normalization ------------------------------------------------
 
 
@@ -475,13 +457,6 @@ def _im2col(x: np.ndarray, k: int, stride: int):
     return cols.reshape(c * k * k, ho * wo), ho, wo
 
 
-def _corr2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Cross-correlate (C_in,H,W) with (C_out,C_in,k,k); no padding."""
-    c_out, _, k, _ = w.shape
-    cols, ho, wo = _im2col(x, k, stride)
-    return (w.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo)
-
-
 def _fold_range(a: int, n: int, stride: int, padding: int, size: int):
     """Source positions i in [0, n) of kernel offset a that land inside an
     axis of ``size`` after dropping ``padding`` (padded position a + i*stride),
@@ -494,27 +469,35 @@ def _fold_range(a: int, n: int, stride: int, padding: int, size: int):
     return slice(lo, hi + 1), slice(start, start + (hi - lo) * stride + 1, stride)
 
 
-def _col2im(cols: np.ndarray, k: int, ho: int, wo: int, stride: int, h: int, w: int,
-            padding: int = 0) -> np.ndarray:
-    """Adjoint of _im2col: fold a (C*k*k, Ho*Wo) matrix back onto (C, h, w),
-    summing overlapping contributions. With ``padding``, the patches were cut
-    from the input zero-padded on each side, and what falls on the padding is
-    dropped rather than summed and cropped."""
-    c = cols.shape[0] // (k * k)
-    view = cols.reshape(c, k, k, ho, wo)
-    out = np.zeros((c, h, w), dtype=cols.dtype)
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
+    """Cross-correlate (C_in,H,W) with (C_out,C_in,k,k) over the input
+    zero-padded by ``padding``. Returns the (C_out,Ho,Wo) output and the
+    im2col patch matrix, which the weight gradient reuses."""
+    c_out, c_in, k, _ = w.shape
+    if padding:
+        h, wd = x.shape[1:]
+        xp = np.zeros((c_in, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + wd] = x
+        x = xp
+    cols, ho, wo = _im2col(x, k, stride)
+    return (w.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo), cols
+
+
+def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                       h: int, wd: int) -> np.ndarray:
+    """Adjoint of ``_correlate`` in its input: the patch-space product w.T @ g
+    folded back (col2im) onto the unpadded (C_in, h, wd) image, summing where
+    patches overlap. What falls on the padding is dropped, not summed and cropped."""
+    c_out, c_in, k, _ = w.shape
+    ho, wo = g.shape[1:]
+    cols = (w.reshape(c_out, -1).T @ g.reshape(c_out, -1)).reshape(c_in, k, k, ho, wo)
+    out = np.zeros((c_in, h, wd), dtype=cols.dtype)
     for a in range(k):
         ys, yd = _fold_range(a, ho, stride, padding, h)
         for b in range(k):
-            xs, xd = _fold_range(b, wo, stride, padding, w)
-            out[:, yd, xd] += view[:, a, b, ys, xs]
+            xs, xd = _fold_range(b, wo, stride, padding, wd)
+            out[:, yd, xd] += cols[:, a, b, ys, xs]
     return out
-
-
-def _corr2d_wgrad(x: np.ndarray, go: np.ndarray, k: int, stride: int) -> np.ndarray:
-    cols, ho, wo = _im2col(x, k, stride)
-    c_out = go.shape[0]
-    return (go.reshape(c_out, -1) @ cols.T).reshape(c_out, -1, k, k)
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0):
@@ -529,25 +512,17 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
     if (h + 2 * padding - k) % stride or (wd + 2 * padding - k) % stride:
         raise ValueError(f"non-integral output extent for input {x.data.shape}, k={k}, stride={stride}, padding={padding}")
 
-    xp = x.data
-    if padding:
-        xp = np.zeros((c_in, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
-        xp[:, padding:padding + h, padding:padding + wd] = x.data
-    cols, ho, wo = _im2col(xp, k, stride)
-    out = (w.data.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo)
+    out, cols = _correlate(x.data, w.data, stride, padding)
     out += b.data[:, None, None]
 
     def grad_fn(g):
         # only the gradients some input needs: a network's first layer reads
         # a constant image, whose input gradient would be a wasted fold
-        g2 = g.reshape(c_out, -1)
         grads = []
         if x.requires_grad:
-            # patch-space matmul, folded back onto the unpadded image
-            gcols = w.data.reshape(c_out, -1).T @ g2
-            grads.append((x, _col2im(gcols, k, ho, wo, stride, h, wd, padding)))
+            grads.append((x, _correlate_adjoint(g, w.data, stride, padding, h, wd)))
         if w.requires_grad:
-            grads.append((w, (g2 @ cols.T).reshape(w.data.shape)))
+            grads.append((w, (g.reshape(c_out, -1) @ cols.T).reshape(w.data.shape)))
         if b.requires_grad:
             grads.append((b, g.sum(axis=(1, 2))))
         return grads
@@ -559,7 +534,8 @@ def conv_transpose2d(x, w, b, stride: int = 2):
     """Exact adjoint of the matching strided conv2d (plus bias).
 
     Weight layout is (C_in, C_out, k, k), i.e. the same array that the paired
-    conv2d would use with its in/out roles swapped.
+    conv2d would use with its in/out roles swapped: the forward pass is that
+    conv2d's input gradient, and the input gradient is that conv2d's forward.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     c_in, c_out, k, k2 = w.data.shape
@@ -571,17 +547,20 @@ def conv_transpose2d(x, w, b, stride: int = 2):
         raise ValueError(f"conv_transpose2d input {x.data.shape} incompatible with weight {w.data.shape}")
 
     hi, wi = x.data.shape[1:]
-    out_h = (hi - 1) * stride + k
-    out_w = (wi - 1) * stride + k
-    ocols = w.data.reshape(c_in, -1).T @ x.data.reshape(c_in, -1)
-    out = _col2im(ocols, k, hi, wi, stride, out_h, out_w) + b.data[:, None, None]
+    out = _correlate_adjoint(x.data, w.data, stride, 0, (hi - 1) * stride + k, (wi - 1) * stride + k)
+    out += b.data[:, None, None]
 
     def grad_fn(g):
         grads = []
-        if x.requires_grad:
-            grads.append((x, _corr2d(g, w.data, stride)))
-        if w.requires_grad:
-            grads.append((w, _ct_wgrad(x.data, g, k, stride)))
+        if x.requires_grad or w.requires_grad:
+            gx, cols = _correlate(g, w.data, stride, 0)
+            if x.requires_grad:
+                grads.append((x, gx))
+            if w.requires_grad:
+                # gw[c, o, a, b] = sum_ij x[c, i, j] * g[o, i*s + a, j*s + b]; a
+                # contiguous (HW, C_out*k*k) operand keeps BLAS's summation order
+                gw = x.data.reshape(c_in, -1) @ np.ascontiguousarray(cols.T)
+                grads.append((w, gw.reshape(w.data.shape)))
         if b.requires_grad:
             grads.append((b, g.sum(axis=(1, 2))))
         return grads
@@ -589,39 +568,33 @@ def conv_transpose2d(x, w, b, stride: int = 2):
     return _make(out, (x, w, b), grad_fn)
 
 
-def _ct_wgrad(x: np.ndarray, go: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """d out / d w for conv_transpose2d: correlate upstream grad with inputs."""
-    # out[o, i*s + a, j*s + b] += x[c, i, j] * w[c, o, a, b]
-    # => gw[c, o, a, b] = sum_{i,j} x[c, i, j] * go[o, i*s+a, j*s+b]
-    win = np.lib.stride_tricks.sliding_window_view(go, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    c_out, hi, wi = win.shape[:3]
-    g = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(hi * wi, c_out * k * k)
-    return (x.reshape(x.shape[0], -1) @ g).reshape(x.shape[0], c_out, k, k)
-
-
 # -- bilinear sampling ----------------------------------------------------------------
 
 
-def _corner_data(coords: np.ndarray, h: int, w: int, border: str):
-    """Shared corner/weight bookkeeping for sampling a (.., h, w) grid."""
+def _sampling_plan(coords: np.ndarray, h: int, w: int, border: str):
+    """Bilinear corners of a (2,H',W') coordinate map on an h×w grid.
+
+    Returns ``corners``, one (flat index, in-bounds flag, weight) triple per
+    corner in the order (y0,x0), (y0,x1), (y1,x0), (y1,x1), and the
+    fractional offsets ``fy``, ``fx``. Indices are clipped into the grid, so
+    they are safe to gather with; the flag says whether the corner is real.
+    """
     cy, cx = coords[0], coords[1]
     if border == "clamp":
         cy = np.clip(cy, 0.0, h - 1.0)
         cx = np.clip(cx, 0.0, w - 1.0)
     y0 = np.floor(cy)
     x0 = np.floor(cx)
-    fy = cy - y0
-    fx = cx - x0
+    fy, fx = cy - y0, cx - x0
     y0 = y0.astype(np.int64)
     x0 = x0.astype(np.int64)
-    y1 = y0 + 1
-    x1 = x0 + 1
-    in_y0 = (y0 >= 0) & (y0 < h)
-    in_y1 = (y1 >= 0) & (y1 < h)
-    in_x0 = (x0 >= 0) & (x0 < w)
-    in_x1 = (x1 >= 0) & (x1 < w)
-    return cy, cx, y0, x0, y1, x1, fy, fx, in_y0, in_y1, in_x0, in_x1
+    rows = [(np.clip(y, 0, h - 1) * w, (y >= 0) & (y < h), wy)
+            for y, wy in ((y0, 1.0 - fy), (y0 + 1, fy))]
+    cols = [(np.clip(x, 0, w - 1), (x >= 0) & (x < w), wx)
+            for x, wx in ((x0, 1.0 - fx), (x0 + 1, fx))]
+    corners = [(row + col, in_row & in_col, wy * wx)
+               for row, in_row, wy in rows for col, in_col, wx in cols]
+    return corners, fy, fx
 
 
 def bilinear_sample(image, coords, border: str = "zeros"):
@@ -635,57 +608,40 @@ def bilinear_sample(image, coords, border: str = "zeros"):
     """
     image, coords = _wrap(image), _wrap(coords)
     c, h, w = image.data.shape
-    cy, cx, y0, x0, y1, x1, fy, fx, in_y0, in_y1, in_x0, in_x1 = _corner_data(coords.data, h, w, border)
+    corners, fy, fx = _sampling_plan(coords.data, h, w, border)
 
-    y0c, y1c = np.clip(y0, 0, h - 1), np.clip(y1, 0, h - 1)
-    x0c, x1c = np.clip(x0, 0, w - 1), np.clip(x1, 0, w - 1)
-
-    img = image.data
-    v00 = img[:, y0c, x0c] * (in_y0 & in_x0)
-    v01 = img[:, y0c, x1c] * (in_y0 & in_x1)
-    v10 = img[:, y1c, x0c] * (in_y1 & in_x0)
-    v11 = img[:, y1c, x1c] * (in_y1 & in_x1)
-
-    w00 = (1.0 - fy) * (1.0 - fx)
-    w01 = (1.0 - fy) * fx
-    w10 = fy * (1.0 - fx)
-    w11 = fy * fx
+    # img[:, idx] leaves the channel axis innermost in memory (np.take would
+    # not), and later reductions over the sampled map sum in that order
+    img = image.data.reshape(c, -1)
+    v00, v01, v10, v11 = (img[:, idx] * inb for idx, inb, _ in corners)
+    (_, _, w00), (_, _, w01), (_, _, w10), (_, _, w11) = corners
     out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-
-    if border == "clamp":
-        # flat beyond the border: no coordinate gradient where we clipped
-        gy_open = (coords.data[0] > 0.0) & (coords.data[0] < h - 1.0)
-        gx_open = (coords.data[1] > 0.0) & (coords.data[1] < w - 1.0)
-    else:
-        gy_open = gx_open = None
 
     def grad_fn(g):
         # warps of constant images and warps along constant maps are common:
         # each side's gradient is computed only when it is needed
         grads = []
         if image.requires_grad:
-            gimg = np.zeros_like(img)
-            flat = gimg.reshape(c, -1)
+            # one bincount per corner over all channels: channel ch's bins
+            # sit at offset ch*h*w, and each bin sums its reads in the same
+            # order as a per-channel bincount would
             npix = h * w
-            for yc, xc, inb, wt in (
-                (y0c, x0c, in_y0 & in_x0, w00),
-                (y0c, x1c, in_y0 & in_x1, w01),
-                (y1c, x0c, in_y1 & in_x0, w10),
-                (y1c, x1c, in_y1 & in_x1, w11),
-            ):
-                idx = (yc * w + xc).ravel()
-                contrib = (g * (wt * inb)).reshape(c, -1)
-                for ch in range(c):
-                    flat[ch] += np.bincount(idx, weights=contrib[ch], minlength=npix)
-            grads.append((image, gimg))
+            offsets = (np.arange(c) * npix)[:, None]
+            gimg = np.zeros(c * npix, dtype=DTYPE)
+            for idx, inb, wt in corners:
+                gimg += np.bincount((offsets + idx.ravel()).ravel(),
+                                    weights=(g * (wt * inb)).ravel(), minlength=c * npix)
+            grads.append((image, gimg.reshape(c, h, w)))
         if coords.requires_grad:
             d_dy = (v10 - v00) * (1.0 - fx) + (v11 - v01) * fx
             d_dx = (v01 - v00) * (1.0 - fy) + (v11 - v10) * fy
             gcy = (g * d_dy).sum(axis=0)
             gcx = (g * d_dx).sum(axis=0)
             if border == "clamp":
-                gcy = gcy * gy_open
-                gcx = gcx * gx_open
+                # flat beyond the border: no coordinate gradient where we clipped
+                cy, cx = coords.data
+                gcy = gcy * ((cy > 0.0) & (cy < h - 1.0))
+                gcx = gcx * ((cx > 0.0) & (cx < w - 1.0))
             grads.append((coords, np.stack([gcy, gcx])))
         return grads
 
@@ -696,16 +652,13 @@ def sample_validity(mask: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Strict mask lookup: every interpolation corner that would carry weight
     must be in bounds and valid. Returns a boolean (H',W') array; no tape."""
     h, w = mask.shape
-    _, _, y0, x0, y1, x1, fy, fx, in_y0, in_y1, in_x0, in_x1 = _corner_data(coords, h, w, "zeros")
-    y0c, y1c = np.clip(y0, 0, h - 1), np.clip(y1, 0, h - 1)
-    x0c, x1c = np.clip(x0, 0, w - 1), np.clip(x1, 0, w - 1)
-    m = mask.astype(bool)
-    need_y1 = fy > 0
-    need_x1 = fx > 0
-    ok = in_y0 & in_x0 & m[y0c, x0c]
-    ok &= ~need_x1 | (in_y0 & in_x1 & m[y0c, x1c])
-    ok &= ~need_y1 | (in_y1 & in_x0 & m[y1c, x0c])
-    ok &= ~(need_y1 & need_x1) | (in_y1 & in_x1 & m[y1c, x1c])
+    corners, fy, fx = _sampling_plan(coords, h, w, "zeros")
+    m = mask.astype(bool).ravel()
+    need_y1, need_x1 = fy > 0, fx > 0
+    (i00, in00, _), *rest = corners
+    ok = in00 & m[i00]
+    for (idx, inb, _), need in zip(rest, (need_x1, need_y1, need_y1 & need_x1)):
+        ok &= ~need | (inb & m[idx])
     return ok
 
 

@@ -1,12 +1,17 @@
-"""CLI: verbs end to end on a miniature dataset, exit codes, snapshots."""
+"""CLI: verbs end to end on a miniature dataset, exit codes, snapshots, and
+the BLAS thread cap a process gets from importing the package."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpsynth
 from warpsynth import cli
 from warpsynth import fileio
 from warpsynth import selfcheck
@@ -160,3 +165,19 @@ class TestVerificationVerbs:
         assert code == 0
         snap = fileio.read_config(tmp_path / "run" / "resolved_config.txt")
         assert snap["seed"] == "1" and snap["epochs"] == "1"
+
+
+class TestBlasThreadCap:
+    def test_applies_when_numpy_is_imported_first(self):
+        if warpsynth._openblas() is None:
+            pytest.skip("numpy has no bundled OpenBLAS to ask")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["WARPSYNTH_THREADS"] = "1"
+        env["PYTHONPATH"] = str(Path(warpsynth.__file__).parents[1])
+        script = ("import numpy, warpsynth; "
+                  "print(warpsynth._openblas().scipy_openblas_get_num_threads64_())")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"

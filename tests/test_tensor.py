@@ -139,6 +139,21 @@ class TestConvTranspose:
         arrays = (rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(2,)))
         assert_each_gradient_alone(lambda *ts: T.conv_transpose2d(*ts, 2) * pert, arrays)
 
+    def test_is_conv2d_with_roles_swapped(self, rng):
+        # bitwise: the forward pass is conv2d's input gradient, and the input
+        # gradient is conv2d's forward pass, with the same weight array
+        for k in (2, 3):
+            w = rng.normal(size=(4, 2, k, k))
+            x = Tensor(rng.normal(size=(2, 4 + k, 4 + k)), requires_grad=True)
+            y = rng.normal(size=(4, 3, 3))
+            T.tsum(T.conv2d(x, w, np.zeros(4), 2, 0) * Tensor(y)).backward()
+            yt = Tensor(y, requires_grad=True)
+            out = T.conv_transpose2d(yt, w, np.zeros(2), 2)
+            assert np.array_equal(out.data, x.grad)
+            g = rng.normal(size=out.shape)
+            T.tsum(out * Tensor(g)).backward()
+            assert np.array_equal(yt.grad, T.conv2d(g, w, np.zeros(4), 2, 0).data)
+
     def test_unsupported_stride_rejected(self, rng):
         with pytest.raises(ValueError):
             T.conv_transpose2d(Tensor(rng.normal(size=(1, 2, 2))),
@@ -250,6 +265,16 @@ class TestBilinear:
         err = T.grad_check(lambda z: T.mean(T.bilinear_sample(img, z) * pert), coords, eps=1e-6)
         assert err < 1e-4
 
+    def test_image_gradient_many_reads_per_pixel(self, rng):
+        # an 8x8 grid read from a 4x4 image: every pixel's bin collects
+        # several reads, and the reads past the edges have corners outside
+        img = Tensor(rng.normal(size=(3, 4, 4)))
+        coords = Tensor(np.stack(np.meshgrid(np.linspace(-0.7, 3.6, 8), np.linspace(-0.6, 3.7, 8),
+                                             indexing="ij")))
+        pert = Tensor(rng.normal(size=(3, 8, 8)))
+        for border in ("zeros", "clamp"):
+            err = T.grad_check(lambda z: T.mean(T.bilinear_sample(z, coords, border) * pert), img)
+            assert err < 1e-6
 
     def test_gradient_of_each_input_alone_matches_both(self, rng):
         img = rng.normal(size=(2, 6, 6))

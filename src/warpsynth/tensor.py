@@ -3,7 +3,10 @@
 The tape is define-by-run: every operation that touches a gradient-requiring
 tensor records a closure that propagates the upstream gradient to its inputs.
 Calling ``backward`` on a scalar walks the recorded graph once in reverse
-topological order. Repeated backward calls accumulate into ``.grad``.
+topological order and frees as it goes: each node's gradient is dropped as
+soon as it has been passed on, so only leaves (tensors no op produced) end up
+with a ``.grad``, and intermediates carry none. The graph itself survives the
+pass, so repeated backward calls accumulate into the leaves' ``.grad``.
 
 Everything is float64. Only two broadcasting patterns are supported for
 binary ops: equal shapes, and scalar-vs-tensor. That covers every loss and
@@ -109,22 +112,28 @@ class Tensor:
     # -- backward ----------------------------------------------------------------
 
     def backward(self):
-        """Accumulate dSelf/dNode into ``.grad`` of every reachable tensor.
+        """Accumulate dSelf/dLeaf into ``.grad`` of every reachable leaf.
 
-        Only scalar roots are supported. Gradients of one pass are computed in
-        a scratch map and added to the persistent ``.grad`` buffers at the end,
-        so repeated calls accumulate leaf gradients as a running sum.
+        Only scalar roots are supported. Each node's gradient lives in a
+        scratch map only until it is spent: an interior node's is dropped once
+        its ``grad_fn`` has run, and a leaf's is added to its ``.grad``, so
+        intermediates get no ``.grad``. The recorded graph is kept, and
+        repeated calls accumulate leaf gradients as a running sum.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         if not self.requires_grad:
-            return {}
-
-        topo = _toposort(self)
+            return
         scratch: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = scratch.get(id(node))
-            if g is None or node._grad_fn is None:
+        for node in reversed(_toposort(self)):
+            g = scratch.pop(id(node), None)
+            if g is None:
+                continue
+            if node._grad_fn is None:
+                if node.grad is None:
+                    node.grad = g
+                else:
+                    node.grad += g
                 continue
             for parent, pg in node._grad_fn(g):
                 if not parent.requires_grad:
@@ -138,17 +147,6 @@ class Tensor:
                     scratch[id(parent)] = pg
                 else:
                     acc += pg
-        grads = {}
-        for node in topo:
-            g = scratch.get(id(node))
-            if g is None:
-                continue
-            if node.grad is None:
-                node.grad = g
-            else:
-                node.grad += g
-            grads[node] = node.grad
-        return grads
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -376,8 +374,9 @@ def leaky_relu(a, slope: float = 0.01):
     ``slope`` (deterministic tests depend on this).
     """
     a = _wrap(a)
-    factor = np.where(a.data > 0, 1.0, slope)
-    return _make(a.data * factor, (a,), lambda g: ((a, g * factor),))
+    pos = a.data > 0
+    return _make(np.where(pos, a.data, a.data * slope), (a,),
+                 lambda g: ((a, np.where(pos, g, g * slope)),))
 
 
 # -- dense / pooling / normalization ------------------------------------------------
@@ -469,17 +468,22 @@ def _fold_range(a: int, n: int, stride: int, padding: int, size: int):
     return slice(lo, hi + 1), slice(start, start + (hi - lo) * stride + 1, stride)
 
 
+def _patches(x: np.ndarray, k: int, stride: int, padding: int):
+    """``_im2col`` of the (C,H,W) input zero-padded by ``padding``."""
+    if padding:
+        c, h, wd = x.shape
+        xp = np.zeros((c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + wd] = x
+        x = xp
+    return _im2col(x, k, stride)
+
+
 def _correlate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
     """Cross-correlate (C_in,H,W) with (C_out,C_in,k,k) over the input
     zero-padded by ``padding``. Returns the (C_out,Ho,Wo) output and the
-    im2col patch matrix, which the weight gradient reuses."""
-    c_out, c_in, k, _ = w.shape
-    if padding:
-        h, wd = x.shape[1:]
-        xp = np.zeros((c_in, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
-        xp[:, padding:padding + h, padding:padding + wd] = x
-        x = xp
-    cols, ho, wo = _im2col(x, k, stride)
+    im2col patch matrix, for a caller that needs it in the same pass."""
+    c_out = w.shape[0]
+    cols, ho, wo = _patches(x, w.shape[2], stride, padding)
     return (w.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo), cols
 
 
@@ -512,7 +516,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
     if (h + 2 * padding - k) % stride or (wd + 2 * padding - k) % stride:
         raise ValueError(f"non-integral output extent for input {x.data.shape}, k={k}, stride={stride}, padding={padding}")
 
-    out, cols = _correlate(x.data, w.data, stride, padding)
+    out, _ = _correlate(x.data, w.data, stride, padding)
     out += b.data[:, None, None]
 
     def grad_fn(g):
@@ -522,6 +526,10 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
         if x.requires_grad:
             grads.append((x, _correlate_adjoint(g, w.data, stride, padding, h, wd)))
         if w.requires_grad:
+            # the patch matrix (k*k times the input at stride 1) is rebuilt
+            # here from the input the graph keeps anyway, rather than held
+            # from the forward pass until backward
+            cols, _, _ = _patches(x.data, k, stride, padding)
             grads.append((w, (g.reshape(c_out, -1) @ cols.T).reshape(w.data.shape)))
         if b.requires_grad:
             grads.append((b, g.sum(axis=(1, 2))))

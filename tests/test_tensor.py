@@ -2,6 +2,7 @@
 backward semantics, Adam, and spectral normalization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,18 @@ from warpsynth import tensor as T
 from warpsynth.tensor import Tensor
 
 from warpsynth import oracles
+
+
+def traced(fn):
+    """Run ``fn`` under tracemalloc; return its result and the (held, peak)
+    bytes allocated during the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
 
 
 def assert_each_gradient_alone(op, arrays):
@@ -97,6 +110,23 @@ class TestConv:
         x.requires_grad = True
         assert T.grad_check(lambda z: T.mean(T.conv2d(z, w, b, stride, padding) * pert), x) < 1e-5
         assert_each_gradient_alone(lambda *ts: T.conv2d(*ts, stride, padding) * pert, arrays)
+
+    def test_keeps_no_patch_matrix(self, rng):
+        # the weight gradient rebuilds the im2col matrix (9x the input for a
+        # 3x3 kernel) in backward instead of holding it from the forward pass
+        x = Tensor(rng.normal(size=(8, 64, 64)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)) * 0.1, requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        _, held, _ = traced(lambda: T.conv2d(x, w, b, 1, 1))
+        assert held < 3 * x.data.nbytes
+        for stride, padding in ((1, 1), (2, 1), (1, 0)):
+            xs = Tensor(rng.normal(size=(2, 7, 7)))
+            ho = (7 + 2 * padding - 3) // stride + 1
+            pert = Tensor(rng.normal(size=(3, ho, ho)))
+            ws = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+            bs = Tensor(np.zeros(3))
+            err = T.grad_check(lambda z: T.mean(T.conv2d(xs, z, bs, stride, padding) * pert), ws)
+            assert err < 1e-6
 
     def test_non_integral_extent_rejected(self, rng):
         x = Tensor(rng.normal(size=(1, 5, 5)))
@@ -319,6 +349,49 @@ class TestDetachBackward:
         loss.backward()
         loss.backward()
         assert np.allclose(x.grad, 2.0)
+
+    def test_backward_frees_gradients_as_it_goes(self, rng):
+        # a spent gradient is dropped at once, so backward's peak is a few
+        # arrays above what the graph holds, not one gradient per node
+        x = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
+        y = x
+        for i in range(40):
+            y = T.tanh(y) if i % 2 else T.mul(y, 1.5)
+        loss = T.mean(y)
+        _, _, peak = traced(loss.backward)
+        assert peak < 6 * x.data.nbytes
+        assert x.grad is not None
+
+    def test_only_leaves_get_grad(self, rng):
+        img = rng.normal(size=(2, 8, 8))
+        wdata = rng.normal(size=(4, 2, 3, 3)) * 0.5
+        gamma, beta = rng.normal(size=4), rng.normal(size=4)
+        # keep every sample point away from integers (interpolation kinks)
+        grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")) * 1.1 + 0.33
+        pert = Tensor(rng.normal(size=(4, 6, 6)))
+
+        def chain(x, w, coords, g):
+            h = T.conv2d(x, w, Tensor(np.zeros(4)), 1, 1)
+            n = T.group_norm(h, 2, g, Tensor(beta))
+            a = T.leaky_relu(n, 0.2)
+            s = T.bilinear_sample(a, coords)
+            return T.mean(s * pert), (h, n, a, s)
+
+        leaves = [Tensor(v, requires_grad=True) for v in (img, wdata, grid, gamma)]
+        loss, inner = chain(*leaves)
+        assert loss.backward() is None
+        assert all(t.grad is None for t in inner + (loss,))
+        assert all(t.grad is not None for t in leaves)
+        # the surviving graph still accumulates, and every leaf gradient is right
+        first = [t.grad.copy() for t in leaves]
+        loss.backward()
+        assert all(np.array_equal(t.grad, 2 * g) for t, g in zip(leaves, first))
+        for i, leaf in enumerate(leaves):
+            def f(z, i=i):
+                args = [Tensor(v) for v in (img, wdata, grid, gamma)]
+                args[i] = z
+                return chain(*args)[0]
+            assert T.grad_check(f, leaf, eps=1e-6) < 1e-5
 
     def test_backward_requires_scalar(self, rng):
         x = Tensor(rng.normal(size=3), requires_grad=True)

@@ -48,12 +48,12 @@ if "numpy" in _sys.modules:
 from . import tensor, deform, losses, networks, metrics, datagen, trainer, fileio, selfcheck
 from .tensor import Tensor, no_grad, grad_check, Adam, AdamState
 from .deform import (Affine, Deformation, Image, Mask, RigidParams, SimDeformParams, Svf,
-                     TransformConfig, compose, gaussian_svf, identity_map, jacobian_field,
-                     rigid_to_deformation, sample_equivariance_transform,
-                     second_derivative_field, simulate_deformation, svf_exp, warp, PRESETS)
-from .losses import (LossReport, LossWeights, adversarial_losses, commutation_loss,
-                     elastic_cross_sim, masked_l1, nonrigidity, reg_cross, reg_intra,
-                     rigid_cross_sim, similarity_default, similarity_equivariance, total_loss)
+                     TransformConfig, compose, forward_diffs, gaussian_svf, identity_map,
+                     jacobian_field, rigid_to_deformation, sample_equivariance_transform,
+                     simulate_deformation, svf_exp, warp, PRESETS)
+from .losses import (LossReport, LossWeights, adversarial_losses, commutation_loss, cross_sim,
+                     masked_l1, nonrigidity, reg_cross, reg_intra, similarity_default,
+                     similarity_equivariance, total_loss)
 from .metrics import MetricReport, mde, nmi, psnr, ssim
 from .networks import Encoder, EncoderSpec, ModelBundle, UNet, UnetSpec, build_models, rigid_head
 from .datagen import DatasetManifest, Dataset, Sample, channel_swap, generate_dataset, load_dataset, make_pair, procedural_image

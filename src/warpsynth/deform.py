@@ -428,37 +428,21 @@ def warp(img: Image, d: Deformation) -> Image:
 # -- derivative fields -------------------------------------------------------------------
 
 
-def _forward_diff(t: Tensor, axis: int) -> Tensor:
-    """Forward differences along a spatial axis, last line edge-replicated."""
-    nd = len(t.shape)
-    full = [slice(None)] * nd
-    hi, lo, last = list(full), list(full), list(full)
-    hi[axis] = slice(1, None)
-    lo[axis] = slice(None, -1)
-    last[axis] = slice(-1, None)
-    diff = t[tuple(hi)] - t[tuple(lo)]
-    return T.concat([diff, diff[tuple(last)]], axis=axis)
+def forward_diffs(t: Tensor):
+    """Forward differences of a (..., H, W) field along y and along x, both
+    on the (H-1, W-1) interior where each exists without edge padding."""
+    base = t[..., :-1, :-1]
+    return t[..., 1:, :-1] - base, t[..., :-1, 1:] - base
 
 
 def jacobian_field(d: Deformation, h: int | None = None, w: int | None = None) -> Tensor:
-    """Local Jacobians (2, 2, H, W): J[k, j] = d d_k / d x_j by forward
-    differences, with the trailing row/column replicated."""
+    """Local Jacobians (2, 2, H-1, W-1) on the interior: J[k, j] = d d_k / d x_j
+    by forward differences."""
     if d.kind == "dense":
         h, w = d.extents
-    c = d.dense_coords(h, w)
     if h < 2 or w < 2:
         raise ValueError("extent too small for derivatives")
-    dy = _forward_diff(c, 1)
-    dx = _forward_diff(c, 2)
-    return T.stack([dy, dx], axis=1)
-
-
-def second_derivative_field(d: Deformation, h: int | None = None, w: int | None = None) -> Tensor:
-    """Second spatial derivatives (2, 2, 2, H, W): S[k, i, j] = d^2 d_k / dx_i dx_j."""
-    j = jacobian_field(d, h, w)
-    sy = _forward_diff(j, 2)
-    sx = _forward_diff(j, 3)
-    return T.stack([sy, sx], axis=1)
+    return T.stack(forward_diffs(d.dense_coords(h, w)), axis=1)
 
 
 # -- simulated deformations -----------------------------------------------------------

@@ -2,7 +2,7 @@
 similarity, and the non-rigidity regularizer.
 
 Stop-gradients are built in where the architecture requires them: the rigid
-and elastic cross-registration similarities see a detached prediction, the
+and elastic cross-registration similarity sees a detached prediction, the
 intra-modality losses see a detached registered label and detached
 cross-registration exponentials, and the discriminator loss sees only detached
 images. Masks gate every comparison; a comparison with no mutually valid
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .deform import Deformation, Image, Svf, compose, jacobian_field, second_derivative_field, svf_exp, warp
+from .deform import Deformation, Image, compose, forward_diffs, jacobian_field, warp
 
 
 @dataclass
@@ -89,16 +89,11 @@ def commutation_loss(pred: Image, pred_t: Image, t: Deformation):
     return masked_l1(warp(pred, t), pred_t)
 
 
-def rigid_cross_sim(pred: Image, y_tilde: Image, r: Deformation):
-    """Rigid registration similarity; the prediction is treated as constant
-    so only the rigid transform receives gradient."""
-    return masked_l1(pred.detached(), warp(y_tilde, r))
-
-
-def elastic_cross_sim(pred: Image, y_tilde: Image, d_cross: Deformation):
-    """Elastic registration similarity against a detached prediction; the
-    caller builds d_cross with the rigid stage already detached."""
-    return masked_l1(pred.detached(), warp(y_tilde, d_cross))
+def cross_sim(pred: Image, y_tilde: Image, d: Deformation):
+    """Cross-registration similarity against a detached prediction, so only
+    the registration receives gradient: the rigid stage alone, or the
+    elastic one, which the caller builds with the rigid stage detached."""
+    return masked_l1(pred.detached(), warp(y_tilde, d))
 
 
 # -- non-rigidity penalty ------------------------------------------------------------
@@ -128,9 +123,8 @@ def nonrigidity_terms(d: Deformation, h: int | None = None, w: int | None = None
     m2 = m1[:-1, :-1] & m1[1:, :-1] & m1[:-1, 1:]
 
     jac = jacobian_field(d, h, w)
-    ji = jac[:, :, : h - 1, : w - 1]
-    j00, j01 = ji[0, 0], ji[0, 1]
-    j10, j11 = ji[1, 0], ji[1, 1]
+    j00, j01 = jac[0, 0], jac[0, 1]
+    j10, j11 = jac[1, 0], jac[1, 1]
 
     g00 = j00 * j00 + j01 * j01
     g01 = j00 * j10 + j01 * j11
@@ -140,13 +134,14 @@ def nonrigidity_terms(d: Deformation, h: int | None = None, w: int | None = None
     det = j00 * j11 - j01 * j10
     prop_map = (det - one) * (det - one)
 
-    sec = second_derivative_field(d, h, w)
-    si = sec[:, :, :, : h - 2, : w - 2]
+    # S[k, i, j] = d^2 d_k / dx_i dx_j, squared per derivative axis i and
+    # summed in (k, i, j) order
+    sq = [s * s for s in forward_diffs(jac)]
     aff_map = None
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                term = si[k, i, j] * si[k, i, j]
+                term = sq[i][k, j]
                 aff_map = term if aff_map is None else aff_map + term
 
     return {
@@ -163,27 +158,18 @@ def nonrigidity(d: Deformation, w_aff: float = 1.0, w_prop: float = 0.1, w_orth:
     return w_aff * t["affinity"] + w_orth * t["orthogonality"] + w_prop * t["properness"]
 
 
-def reg_cross(v_cross: Svf, weights: LossWeights, exps=None) -> Tensor:
-    """Non-rigidity of the elastic cross-registration, both directions.
-
-    ``exps`` is the pair (exp(v_cross), exp(-v_cross)) when the caller already
-    has it; by default both are computed from the velocity.
-    """
-    fwd, bwd = exps or (svf_exp(v_cross), svf_exp(-v_cross))
+def reg_cross(e_cross: Deformation, e_cross_inv: Deformation, weights: LossWeights) -> Tensor:
+    """Non-rigidity of the elastic cross-registration in both directions,
+    from its exponentials exp(v_cross) and exp(-v_cross)."""
     args = (weights.affinity, weights.properness, weights.orthogonality)
-    return nonrigidity(fwd, *args) + nonrigidity(bwd, *args)
+    return nonrigidity(e_cross, *args) + nonrigidity(e_cross_inv, *args)
 
 
-def reg_intra(v_intra: Svf, v_cross: Svf, weights: LossWeights, exps=None) -> Tensor:
+def reg_intra(e_intra: Deformation, e_intra_inv: Deformation, e_cross: Deformation,
+              e_cross_inv: Deformation, weights: LossWeights) -> Tensor:
     """Non-rigidity of the concatenated overall elastic deformation in both
-    directions; the cross-registration velocity is treated as constant.
-
-    ``exps`` is (exp(v_intra), exp(-v_intra), exp(v_cross), exp(-v_cross))
-    when the caller already has them; by default they are computed from the
-    velocities. The cross pair is detached here either way.
-    """
-    e_intra, e_intra_inv, e_cross, e_cross_inv = exps or (
-        svf_exp(v_intra), svf_exp(-v_intra), svf_exp(v_cross), svf_exp(-v_cross))
+    directions, from exp(±v_intra) and exp(±v_cross); the cross pair is
+    detached here, so it is treated as constant."""
     fwd = compose(e_intra, e_cross.detached())
     bwd = compose(e_cross_inv.detached(), e_intra_inv)
     args = (weights.affinity, weights.properness, weights.orthogonality)

@@ -100,12 +100,13 @@ class Conv(_Weighted):
 
 
 class ConvTranspose(_Weighted):
-    def __init__(self, rng, cin, cout, k=2, stride=2):
-        super().__init__(_uniform(rng, (cin, cout, k, k), cin * k * k), _uniform(rng, (cout,), cin * k * k))
-        self.stride = stride
+    """2x upsampling: a 2x2 kernel at stride 2."""
+
+    def __init__(self, rng, cin, cout):
+        super().__init__(_uniform(rng, (cin, cout, 2, 2), cin * 4), _uniform(rng, (cout,), cin * 4))
 
     def forward(self, x, frozen=False):
-        return T.conv_transpose2d(x, *self._weights(frozen), self.stride)
+        return T.conv_transpose2d(x, *self._weights(frozen), 2)
 
 
 class DenseHead(_Weighted):

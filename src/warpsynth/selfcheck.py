@@ -231,19 +231,19 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
         label = img_of(rng.uniform(0, 1, size=(2, 8, 8)))
         def f(z):
             p = N.rigid_head(z, math.pi / 8, 2.0, (3.5, 3.5))
-            return L.rigid_cross_sim(pred, label, D.rigid_to_deformation(p))[0]
+            return L.cross_sim(pred, label, D.rigid_to_deformation(p))[0]
         return gc(f, t(rng, 3, scale=0.4), eps=1e-6)
-    check("loss/rigid_cross_sim", loss_rigid_cross)
+    check("loss/cross_sim/rigid", loss_rigid_cross)
 
     def loss_elastic_cross(rng):
         pred = img_of(rng.uniform(0, 1, size=(2, 8, 8)))
         label = img_of(rng.uniform(0, 1, size=(2, 8, 8)))
         def f(z):
             d_cross = D.compose(D.svf_exp(D.Svf(z), squarings=2), D.identity_affine())
-            return L.elastic_cross_sim(pred, label, d_cross)[0]
+            return L.cross_sim(pred, label, d_cross)[0]
         v = Tensor(rng.normal(size=(2, 8, 8)) * 0.3, requires_grad=True)
         return gc(f, v, eps=1e-6, rng=rng)
-    check("loss/elastic_cross_sim", loss_elastic_cross)
+    check("loss/cross_sim/svf", loss_elastic_cross)
 
     def loss_nonrigidity(rng):
         base = D.svf_exp(D.gaussian_svf((5, 4), (4, 3), (0.9, -0.8), 10, 10)).coords.data
@@ -251,16 +251,20 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
         return gc(f, Tensor(base, requires_grad=True), eps=1e-6, rng=rng)
     check("loss/nonrigidity", loss_nonrigidity)
 
+    def exp_pair(z):
+        v = D.Svf(z)
+        return D.svf_exp(v), D.svf_exp(-v)
+
     def loss_reg_cross(rng):
         v = Tensor(rng.normal(size=(2, 8, 8)) * 0.3, requires_grad=True)
-        f = lambda z: L.reg_cross(D.Svf(z), L.LossWeights())
+        f = lambda z: L.reg_cross(*exp_pair(z), L.LossWeights())
         return gc(f, v, eps=1e-6, rng=rng)
     check("loss/reg_cross", loss_reg_cross)
 
     def loss_reg_intra(rng):
-        vc = D.Svf(Tensor(rng.normal(size=(2, 8, 8)) * 0.2))
+        cross = exp_pair(Tensor(rng.normal(size=(2, 8, 8)) * 0.2))
         v = Tensor(rng.normal(size=(2, 8, 8)) * 0.3, requires_grad=True)
-        f = lambda z: L.reg_intra(D.Svf(z), vc, L.LossWeights())
+        f = lambda z: L.reg_intra(*exp_pair(z), *cross, L.LossWeights())
         return gc(f, v, eps=1e-6, rng=rng)
     check("loss/reg_intra", loss_reg_intra)
 

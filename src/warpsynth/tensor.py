@@ -180,14 +180,6 @@ def _make(data: np.ndarray, parents, grad_fn) -> Tensor:
     return out
 
 
-def _binary_shapes(a: Tensor, b: Tensor):
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ValueError(f"unsupported broadcast: {a.data.shape} vs {b.data.shape}")
-
-
 def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
     # inverse of scalar-vs-tensor broadcasting: the scalar side sums
     if grad.shape == tuple(shape):
@@ -198,50 +190,40 @@ def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
 # -- elementwise suite ------------------------------------------------------------
 
 
-def add(a, b):
+def _binary(a, b, value, grad_a, grad_b):
+    """Shared core of the arithmetic ops, which broadcast a scalar against a
+    tensor and nothing else. ``grad_a(g, x, y)`` and ``grad_b`` give each
+    side's gradient from the upstream gradient and both operands' data; a side
+    gets one only if it requires it, so a constant operand costs nothing."""
     a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b)
-    out = a.data + b.data
+    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+        raise ValueError(f"unsupported broadcast: {a.data.shape} vs {b.data.shape}")
 
     def grad_fn(g):
-        return ((a, _reduce_to(g, a.data.shape)), (b, _reduce_to(g, b.data.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _reduce_to(grad_a(g, a.data, b.data), a.data.shape)))
+        if b.requires_grad:
+            grads.append((b, _reduce_to(grad_b(g, a.data, b.data), b.data.shape)))
+        return grads
 
-    return _make(out, (a, b), grad_fn)
+    return _make(value(a.data, b.data), (a, b), grad_fn)
+
+
+def add(a, b):
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b)
-    out = a.data - b.data
-
-    def grad_fn(g):
-        return ((a, _reduce_to(g, a.data.shape)), (b, _reduce_to(-g, b.data.shape)))
-
-    return _make(out, (a, b), grad_fn)
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b)
-    out = a.data * b.data
-
-    def grad_fn(g):
-        return ((a, _reduce_to(g * b.data, a.data.shape)), (b, _reduce_to(g * a.data, b.data.shape)))
-
-    return _make(out, (a, b), grad_fn)
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _binary_shapes(a, b)
-    out = a.data / b.data
-
-    def grad_fn(g):
-        ga = _reduce_to(g / b.data, a.data.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.data.shape)
-        return ((a, ga), (b, gb))
-
-    return _make(out, (a, b), grad_fn)
+    return _binary(a, b, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def neg(a):
@@ -549,8 +531,8 @@ def conv_transpose2d(x, w, b, stride: int = 2):
     c_in, c_out, k, k2 = w.data.shape
     if k != k2:
         raise ValueError("only square kernels supported")
-    if stride not in (1, 2):
-        raise ValueError(f"unsupported stride {stride}")
+    if stride != 2:
+        raise ValueError(f"unsupported stride {stride}: only the U-Net's 2x upsampling is implemented")
     if x.data.ndim != 3 or x.data.shape[0] != c_in:
         raise ValueError(f"conv_transpose2d input {x.data.shape} incompatible with weight {w.data.shape}")
 

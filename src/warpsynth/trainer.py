@@ -26,9 +26,9 @@ from . import tensor as T
 from .tensor import Adam, Tensor
 from .deform import (Deformation, Image, NonFiniteField, Svf, TransformConfig, compose,
                      rigid_to_deformation, sample_equivariance_transform, svf_exp, warp)
-from .losses import (LossReport, LossWeights, adversarial_losses, commutation_loss,
-                     elastic_cross_sim, masked_l1, reg_cross, reg_intra, rigid_cross_sim,
-                     similarity_default, similarity_equivariance, total_loss)
+from .losses import (LossReport, LossWeights, adversarial_losses, commutation_loss, cross_sim,
+                     masked_l1, reg_cross, reg_intra, similarity_default,
+                     similarity_equivariance, total_loss)
 from .networks import ModelBundle, build_models, rigid_head
 from .datagen import Dataset, Sample, channel_swap
 from . import metrics as M
@@ -222,7 +222,6 @@ class RegForward:
     """
 
     rigid: Deformation
-    v_cross: Svf
     e_cross: Deformation  # exp(v_cross)
     e_cross_inv: Deformation  # exp(-v_cross)
     d_cross: Deformation
@@ -313,17 +312,18 @@ class Trainer:
         inv_disp = e_cross_inv.detached().displacement(h, w)
         g_stack = T.concat([pred.data, y_reg.data, inv_disp, _mask_channel(y_reg)])
         v_intra = Svf(mb.g_svf.forward(g_stack))
-        return RegForward(rigid=rigid, v_cross=v_cross, e_cross=e_cross, e_cross_inv=e_cross_inv,
-                          d_cross=d_cross, y_reg=y_reg, v_intra=v_intra, d_intra=svf_exp(-v_intra))
+        return RegForward(rigid=rigid, e_cross=e_cross, e_cross_inv=e_cross_inv, d_cross=d_cross,
+                          y_reg=y_reg, v_intra=v_intra, d_intra=svf_exp(-v_intra))
 
     # -- one optimization step -----------------------------------------------------
 
     def build_losses(self, x: Image, y_tilde: Image):
         """Forward passes and every enabled loss term for one pair.
 
-        Returns (terms, report, d_loss): ``terms`` hold live tensors for the
-        generator total; ``d_loss`` is the discriminator's own loss on
-        detached images (None without adversarial training).
+        Returns (terms, report, total, d_loss): ``terms`` and their weighted
+        ``total`` hold live tensors for the generator; ``d_loss`` is the
+        discriminator's own loss on detached images (None without
+        adversarial training).
         """
         plan, cfg = self.plan, self.cfg
         h, w = x.extents
@@ -352,11 +352,11 @@ class Trainer:
             terms["sim"] = sim
         else:
             fw = self._registration_forward(x, y_tilde, pred)
-            rig_sim, e1 = rigid_cross_sim(pred, y_tilde, fw.rigid)
-            cross_sim, e2 = elastic_cross_sim(pred, y_tilde, fw.d_cross)
-            cross_reg = reg_cross(fw.v_cross, self.weights, (fw.e_cross, fw.e_cross_inv))
+            rig_sim, e1 = cross_sim(pred, y_tilde, fw.rigid)
+            elastic_sim, e2 = cross_sim(pred, y_tilde, fw.d_cross)
+            cross_reg = reg_cross(fw.e_cross, fw.e_cross_inv, self.weights)
             report.record("rig_sim", rig_sim, e1)
-            report.record("cross_sim", cross_sim, e2)
+            report.record("cross_sim", elastic_sim, e2)
             report.record("cross_reg", cross_reg)
 
             x_t = warp(x, t) if plan.needs_transform else None
@@ -366,11 +366,11 @@ class Trainer:
                 intra_sim, e3 = similarity_equivariance(pred_t, fw.y_reg, fw.d_intra, t_inv)
             else:
                 intra_sim, e3 = similarity_default(pred, fw.y_reg, fw.d_intra)
-            intra_reg = reg_intra(fw.v_intra, fw.v_cross, self.weights,
-                                  (svf_exp(fw.v_intra), fw.d_intra, fw.e_cross, fw.e_cross_inv))
+            intra_reg = reg_intra(svf_exp(fw.v_intra), fw.d_intra, fw.e_cross, fw.e_cross_inv,
+                                  self.weights)
             report.record("intra_sim", intra_sim, e3)
             report.record("intra_reg", intra_reg)
-            terms.update(rig_sim=rig_sim, cross_sim=cross_sim, cross_reg=cross_reg,
+            terms.update(rig_sim=rig_sim, cross_sim=elastic_sim, cross_reg=cross_reg,
                          intra_sim=intra_sim, intra_reg=intra_reg)
 
             if plan.use_com:

@@ -29,21 +29,12 @@ def exp_pair(v):
     return D.svf_exp(v), D.svf_exp(-v)
 
 
-def reg_cross_checked(v):
-    """reg_cross from the bare SVF, checked equal to the value from
-    precomputed exponentials (the form the trainer passes)."""
-    bare = L.reg_cross(v, L.LossWeights())
-    assert L.reg_cross(v, L.LossWeights(), exp_pair(v)).item() == bare.item()
-    return bare
+def reg_cross_of(v):
+    return L.reg_cross(*exp_pair(v), L.LossWeights())
 
 
-def reg_intra_checked(v_intra, v_cross):
-    """reg_intra from the bare SVFs, checked equal to the value from
-    precomputed exponentials."""
-    bare = L.reg_intra(v_intra, v_cross, L.LossWeights())
-    given = L.reg_intra(v_intra, v_cross, L.LossWeights(), exp_pair(v_intra) + exp_pair(v_cross))
-    assert given.item() == bare.item()
-    return bare
+def reg_intra_of(v_intra, v_cross):
+    return L.reg_intra(*exp_pair(v_intra), *exp_pair(v_cross), L.LossWeights())
 
 
 class TestMaskedL1:
@@ -174,7 +165,7 @@ class TestRegistrationSims:
         pred = img(rng.uniform(size=(2, 8, 8)))
         label = img(rng.uniform(size=(2, 8, 8)))
         direct, _ = L.masked_l1(pred, label)
-        via, _ = L.rigid_cross_sim(pred, label, D.identity_affine())
+        via, _ = L.cross_sim(pred, label, D.identity_affine())
         assert via.item() == direct.item()
 
     def test_rigid_matching_shift(self, rng):
@@ -182,7 +173,7 @@ class TestRegistrationSims:
         fwd = D.rigid_to_deformation(D.RigidParams(0.0, (0.0, -5.0), (15.5, 15.5)))
         label = D.warp(pred, fwd)  # label is pred shifted by 5 columns
         undo = fwd.inverse_affine()
-        loss, _ = L.rigid_cross_sim(pred, label, undo)
+        loss, _ = L.cross_sim(pred, label, undo)
         assert loss.item() < 1e-9
 
     def test_rigid_no_gradient_to_prediction(self, rng):
@@ -190,7 +181,7 @@ class TestRegistrationSims:
         label = img(rng.uniform(size=(1, 8, 8)))
         angle = Tensor(np.array(0.1), requires_grad=True)
         r = D.rigid_to_deformation(D.RigidParams(angle, (0.0, 0.0), (3.5, 3.5)))
-        loss, _ = L.rigid_cross_sim(pred, label, r)
+        loss, _ = L.cross_sim(pred, label, r)
         loss.backward()
         assert pred.data.grad is None
         assert angle.grad is not None and angle.grad != 0
@@ -200,7 +191,7 @@ class TestRegistrationSims:
         v = D.gaussian_svf((24, 20), (12, 14), (2.0, -1.5), 48, 48)
         label = D.warp(pred, D.svf_exp(v))
         d_cross = D.compose(D.svf_exp(-v), D.identity_affine())
-        loss, _ = L.elastic_cross_sim(pred, label, d_cross)
+        loss, _ = L.cross_sim(pred, label, d_cross)
         assert loss.item() < 0.02 * 255
 
     def test_elastic_zero_field_equals_rigid_residual(self, rng):
@@ -208,8 +199,8 @@ class TestRegistrationSims:
         label = img(rng.uniform(size=(1, 8, 8)))
         rigid = D.identity_affine()
         d_cross = D.compose(D.svf_exp(D.Svf(Tensor(np.zeros((2, 8, 8))))), rigid)
-        e, _ = L.elastic_cross_sim(pred, label, d_cross)
-        r, _ = L.rigid_cross_sim(pred, label, rigid)
+        e, _ = L.cross_sim(pred, label, d_cross)
+        r, _ = L.cross_sim(pred, label, rigid)
         assert abs(e.item() - r.item()) < 1e-12
 
     def test_elastic_no_gradient_to_rigid(self, rng):
@@ -219,7 +210,7 @@ class TestRegistrationSims:
         rigid = D.rigid_to_deformation(D.RigidParams(angle, (0.0, 0.0), (3.5, 3.5)))
         v = Tensor(rng.normal(size=(2, 8, 8)) * 0.2, requires_grad=True)
         d_cross = D.compose(D.svf_exp(D.Svf(v)), rigid.detached())
-        loss, _ = L.elastic_cross_sim(pred, label, d_cross)
+        loss, _ = L.cross_sim(pred, label, d_cross)
         loss.backward()
         assert angle.grad is None
         assert v.grad is not None and np.any(v.grad)
@@ -240,6 +231,24 @@ class TestNonrigidity:
         assert abs(float(t["properness"].data) - 9.0) < 1e-9
         assert float(t["affinity"].data) < 1e-20
 
+    def test_affinity_of_quadratic_map(self):
+        # c_k = grid_k + a_k y^2 + b_k xy + g_k x^2 has exact forward second
+        # differences 2a_k, b_k, b_k, 2g_k at every interior pixel
+        a, b, g = np.array([0.3, -0.2]), np.array([0.5, 0.7]), np.array([-0.4, 0.1])
+        grid = D.grid_coords(12, 10).data
+        y, x = grid
+        quad = a[:, None, None] * y * y + b[:, None, None] * x * y + g[:, None, None] * x * x
+        t = L.nonrigidity_terms(D.Deformation.from_coords(Tensor(grid + quad)))
+        want = float(np.sum(4 * a * a + 2 * b * b + 4 * g * g))
+        assert float(t["affinity"].data) == pytest.approx(want, rel=1e-12)
+
+    def test_one_call_records_at_most_71_op_nodes(self):
+        coords = Tensor(D.svf_exp(D.gaussian_svf((5, 4), (4, 3), (0.9, -0.8), 10, 10)).coords.data,
+                        requires_grad=True)
+        out = L.nonrigidity(D.Deformation.from_coords(coords))
+        ops = [n for n in T._toposort(out) if n._grad_fn is not None]
+        assert len(ops) <= 71
+
     def test_default_weights(self):
         w = L.LossWeights()
         assert (w.affinity, w.properness, w.orthogonality) == (1.0, 0.1, 0.01)
@@ -250,37 +259,35 @@ class TestNonrigidity:
 
     def test_reg_cross_zero_field(self):
         v = D.Svf(Tensor(np.zeros((2, 8, 8))))
-        assert reg_cross_checked(v).item() == 0.0
+        assert reg_cross_of(v).item() == 0.0
 
     def test_reg_cross_positive_for_bump(self):
         v = D.gaussian_svf((28.8, 67.2), (14.4, 19.2), (0.48, -0.48), 96, 96)
-        assert reg_cross_checked(v).item() > 0.0
+        assert reg_cross_of(v).item() > 0.0
 
     def test_reg_cross_evaluates_both_signs(self, rng):
         v = D.Svf(Tensor(rng.normal(size=(2, 10, 10)) * 0.4))
-        a = reg_cross_checked(v).item()
-        b = reg_cross_checked(-v).item()
+        a = reg_cross_of(v).item()
+        b = reg_cross_of(-v).item()
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_reg_intra_zero_fields(self):
         z = D.Svf(Tensor(np.zeros((2, 8, 8))))
-        assert reg_intra_checked(z, z).item() == 0.0
+        assert reg_intra_of(z, z).item() == 0.0
 
     def test_reg_intra_cancelling_fields(self, rng):
         v = D.gaussian_svf((12, 12), (8, 8), (1.0, -1.0), 24, 24)
-        val = reg_intra_checked(D.Svf(T.neg(v.field)), v).item()
+        val = reg_intra_of(D.Svf(T.neg(v.field)), v).item()
         # composition of exp(-v) with exp(v) is near identity
         assert val < 1e-3
 
     def test_reg_intra_no_gradient_to_cross(self, rng):
         vc = Tensor(rng.normal(size=(2, 8, 8)) * 0.2, requires_grad=True)
         vi = Tensor(rng.normal(size=(2, 8, 8)) * 0.2, requires_grad=True)
-        # the precomputed cross exponentials are on the tape, as in the trainer
-        for exps in (None, exp_pair(D.Svf(vi)) + exp_pair(D.Svf(vc))):
-            vi.grad = None
-            L.reg_intra(D.Svf(vi), D.Svf(vc), L.LossWeights(), exps).backward()
-            assert vc.grad is None
-            assert vi.grad is not None and np.any(vi.grad)
+        # the cross exponentials arrive on the tape, as in the trainer
+        reg_intra_of(D.Svf(vi), D.Svf(vc)).backward()
+        assert vc.grad is None
+        assert vi.grad is not None and np.any(vi.grad)
 
 
 class _ConstantD:

@@ -74,6 +74,19 @@ class TestElementwise:
         loss.backward()
         assert s.grad == 4.0
 
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    def test_arithmetic_gradient_of_each_side_alone_matches_both(self, rng, op):
+        pert = Tensor(rng.normal(size=(3, 4)))
+        tensor, other = rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4))
+        for arrays in ((tensor, other), (tensor, other[0, 0]), (other[0, 0], tensor)):
+            assert_each_gradient_alone(lambda a, b: op(a, b) * pert, arrays)
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    def test_arithmetic_computes_no_gradient_for_a_constant_side(self, op):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        for out in (op(x, Tensor(np.full((2, 2), 2.0))), op(Tensor(2.0), x)):
+            assert [p is x for p, _ in out._grad_fn(np.ones((2, 2)))] == [True]
+
 
 class TestConv:
     def test_constant_image_ones_kernel(self):
@@ -185,9 +198,10 @@ class TestConvTranspose:
             assert np.array_equal(yt.grad, T.conv2d(g, w, np.zeros(4), 2, 0).data)
 
     def test_unsupported_stride_rejected(self, rng):
-        with pytest.raises(ValueError):
-            T.conv_transpose2d(Tensor(rng.normal(size=(1, 2, 2))),
-                               Tensor(rng.normal(size=(1, 1, 2, 2))), Tensor(np.zeros(1)), 3)
+        for stride in (1, 3):
+            with pytest.raises(ValueError):
+                T.conv_transpose2d(Tensor(rng.normal(size=(1, 2, 2))),
+                                   Tensor(rng.normal(size=(1, 1, 2, 2))), Tensor(np.zeros(1)), stride)
 
 
 class TestDense:

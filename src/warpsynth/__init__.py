@@ -46,7 +46,7 @@ if "numpy" in _sys.modules:
                        f"could not be set to {_count!r}", RuntimeWarning, stacklevel=2)
 
 from . import tensor, deform, losses, networks, metrics, datagen, trainer, fileio, selfcheck
-from .tensor import Tensor, no_grad, grad_check, Adam, AdamState
+from .tensor import Tensor, no_grad, grad_check, Adam
 from .deform import (Affine, Deformation, Image, Mask, RigidParams, SimDeformParams, Svf,
                      TransformConfig, compose, forward_diffs, gaussian_svf, identity_map,
                      jacobian_field, rigid_to_deformation, sample_equivariance_transform,

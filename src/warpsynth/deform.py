@@ -435,11 +435,25 @@ def forward_diffs(t: Tensor):
     return t[..., 1:, :-1] - base, t[..., :-1, 1:] - base
 
 
+def _resolve_extents(ds, h: int | None, w: int | None, what: str):
+    """The (h, w) grid on which to evaluate the deformations ``ds``: that of
+    the dense ones, which must agree with each other and with any explicit
+    extents. Affine deformations have none, so they need explicit ones."""
+    for d in ds:
+        if d.kind == "dense":
+            if h is None:
+                h, w = d.extents
+            elif d.extents != (h, w):
+                raise ValueError(f"deformation extents {d.extents} != {(h, w)}")
+    if h is None or w is None:
+        raise ValueError(f"{what} of an affine deformation needs explicit extents (h, w)")
+    return h, w
+
+
 def jacobian_field(d: Deformation, h: int | None = None, w: int | None = None) -> Tensor:
     """Local Jacobians (2, 2, H-1, W-1) on the interior: J[k, j] = d d_k / d x_j
     by forward differences."""
-    if d.kind == "dense":
-        h, w = d.extents
+    h, w = _resolve_extents((d,), h, w, "the Jacobian field")
     if h < 2 or w < 2:
         raise ValueError("extent too small for derivatives")
     return T.stack(forward_diffs(d.dense_coords(h, w)), axis=1)

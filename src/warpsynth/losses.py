@@ -12,13 +12,13 @@ failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .deform import Deformation, Image, compose, forward_diffs, jacobian_field, warp
+from .deform import Deformation, Image, _resolve_extents, compose, forward_diffs, jacobian_field, warp
 
 
 @dataclass
@@ -42,16 +42,12 @@ class LossWeights:
 
 @dataclass
 class LossReport:
-    """Per-term scalar values plus the weighted total for one step."""
+    """Per-term scalar values, the weighted total, and how many comparisons
+    had no mutually valid pixel, for one step."""
 
-    terms: dict = field(default_factory=dict)
-    total: float = 0.0
-    empty_masks: int = 0
-
-    def record(self, name: str, value, empty: bool = False):
-        self.terms[name] = float(value.data) if isinstance(value, Tensor) else float(value)
-        if empty:
-            self.empty_masks += 1
+    terms: dict
+    total: float
+    empty_masks: int
 
 
 def masked_l1(a: Image, b: Image):
@@ -114,8 +110,7 @@ def nonrigidity_terms(d: Deformation, h: int | None = None, w: int | None = None
     own mask removes. Orthogonality uses the squared Frobenius norm and
     properness the squared determinant residual, keeping both smooth at zero.
     """
-    if d.kind == "dense":
-        h, w = d.extents
+    h, w = _resolve_extents((d,), h, w, "the non-rigidity penalty")
     if h < 3 or w < 3:
         raise ValueError("extent too small for the non-rigidity penalty")
     mask = d.mask_array(h, w)
@@ -151,18 +146,19 @@ def nonrigidity_terms(d: Deformation, h: int | None = None, w: int | None = None
     }
 
 
-def nonrigidity(d: Deformation, w_aff: float = 1.0, w_prop: float = 0.1, w_orth: float = 0.01,
-                h: int | None = None, w: int | None = None) -> Tensor:
-    """Weighted non-rigidity penalty; zero for every rigid deformation."""
+def nonrigidity(d: Deformation, weights: LossWeights, h: int | None = None,
+                w: int | None = None) -> Tensor:
+    """Non-rigidity penalty weighted by ``weights``' affinity, orthogonality
+    and properness; zero for every rigid deformation."""
     t = nonrigidity_terms(d, h, w)
-    return w_aff * t["affinity"] + w_orth * t["orthogonality"] + w_prop * t["properness"]
+    return (weights.affinity * t["affinity"] + weights.orthogonality * t["orthogonality"]
+            + weights.properness * t["properness"])
 
 
 def reg_cross(e_cross: Deformation, e_cross_inv: Deformation, weights: LossWeights) -> Tensor:
     """Non-rigidity of the elastic cross-registration in both directions,
     from its exponentials exp(v_cross) and exp(-v_cross)."""
-    args = (weights.affinity, weights.properness, weights.orthogonality)
-    return nonrigidity(e_cross, *args) + nonrigidity(e_cross_inv, *args)
+    return nonrigidity(e_cross, weights) + nonrigidity(e_cross_inv, weights)
 
 
 def reg_intra(e_intra: Deformation, e_intra_inv: Deformation, e_cross: Deformation,
@@ -172,18 +168,18 @@ def reg_intra(e_intra: Deformation, e_intra_inv: Deformation, e_cross: Deformati
     detached here, so it is treated as constant."""
     fwd = compose(e_intra, e_cross.detached())
     bwd = compose(e_cross_inv.detached(), e_intra_inv)
-    args = (weights.affinity, weights.properness, weights.orthogonality)
-    return nonrigidity(fwd, *args) + nonrigidity(bwd, *args)
+    return nonrigidity(fwd, weights) + nonrigidity(bwd, weights)
 
 
 # -- adversarial -------------------------------------------------------------------
 
 ADV_MODES = ("eq-adv", "def-cond-adv", "def-uncond-adv")
+# discriminator probabilities are clamped this far inside (0, 1) before the log
+PROB_EPS = 1e-6
 
 
 def adversarial_losses(d_net, x: Image, label_reg: Image, pred_reg: Image,
-                       t: Deformation | None, mode: str, prob_eps: float = 1e-6,
-                       non_saturating: bool = False):
+                       t: Deformation | None, mode: str, non_saturating: bool = False):
     """Discriminator and generator log-likelihood losses.
 
     ``label_reg`` and ``pred_reg`` arrive fully composed and warped by the
@@ -220,7 +216,7 @@ def adversarial_losses(d_net, x: Image, label_reg: Image, pred_reg: Image,
 
     def prob(feed, frozen):
         logit = d_net.forward(feed, frozen=frozen)
-        return T.clamp(T.sigmoid(logit[0]), prob_eps, 1.0 - prob_eps)
+        return T.clamp(T.sigmoid(logit[0]), PROB_EPS, 1.0 - PROB_EPS)
 
     p_real = prob(real, frozen=False)
     p_fake = prob(fake_const, frozen=False)
@@ -234,33 +230,31 @@ def adversarial_losses(d_net, x: Image, label_reg: Image, pred_reg: Image,
 # -- assembly ---------------------------------------------------------------------
 
 
-def total_loss(terms: dict, weights: LossWeights, *, registration: bool = True,
-               use_com: bool = False, adversarial: bool = False) -> Tensor:
-    """Weighted sum of the enabled terms.
+# Each weight scales the sum of its terms. Terms are summed within a group,
+# and the groups added, in this order; the determinism gates depend on it.
+WEIGHT_GROUPS = (
+    ("sim", ("sim", "rig_sim", "cross_sim", "intra_sim")),
+    ("reg", ("cross_reg", "intra_reg")),
+    ("com", ("com",)),
+    ("adv", ("adv_g",)),
+)
+
+
+def total_loss(terms: dict, weights: LossWeights) -> Tensor:
+    """Weighted sum of whatever terms are given.
 
     The per-subnetwork attribution happens through the detach points inside
-    the terms, not here. Raises when a term the configuration requires is
-    missing.
+    the terms, not here. Raises on a term ``WEIGHT_GROUPS`` does not name.
     """
-    if registration:
-        required = ["rig_sim", "cross_sim", "cross_reg", "intra_sim", "intra_reg"]
-    else:
-        required = ["sim"]
-    if use_com:
-        required.append("com")
-    if adversarial:
-        required.append("adv_g")
-    missing = [k for k in required if k not in terms]
-    if missing:
-        raise ValueError(f"configuration requires loss terms {missing}")
-
-    if not registration:
-        total = weights.sim * terms["sim"]
-    else:
-        total = weights.sim * (terms["rig_sim"] + terms["cross_sim"] + terms["intra_sim"])
-        total = total + weights.reg * (terms["cross_reg"] + terms["intra_reg"])
-    if use_com:
-        total = total + weights.com * terms["com"]
-    if adversarial:
-        total = total + weights.adv * terms["adv_g"]
+    unknown = sorted(set(terms) - {n for _, names in WEIGHT_GROUPS for n in names})
+    if unknown:
+        raise ValueError(f"no weight for loss terms {unknown}")
+    if not terms:
+        raise ValueError("no loss terms")
+    total = None
+    for weight, names in WEIGHT_GROUPS:
+        group = [terms[n] for n in names if n in terms]
+        if group:
+            part = getattr(weights, weight) * sum(group[1:], group[0])
+            total = part if total is None else total + part
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform import Deformation, Image
+from .deform import Deformation, Image, _resolve_extents
 
 # identical images have infinite PSNR; aggregate tables use this stand-in
 PSNR_SENTINEL_DB = 999.0
@@ -112,14 +112,7 @@ def nmi(a, b, bins: int = 64) -> float:
 def mde(d_pred: Deformation, d_true: Deformation, h: int | None = None, w: int | None = None) -> float:
     """Mean Euclidean distance between two coordinate maps, in pixels,
     averaged over the intersection of their validity masks."""
-    for d in (d_pred, d_true):
-        if d.kind == "dense":
-            if h is None:
-                h, w = d.extents
-            elif d.extents != (h, w):
-                raise ValueError(f"deformation extents {d.extents} != {(h, w)}")
-    if h is None:
-        raise ValueError("mde of two affine deformations needs explicit extents")
+    h, w = _resolve_extents((d_pred, d_true), h, w, "mde")
     inter = d_pred.mask_array(h, w) & d_true.mask_array(h, w)
     if not inter.any():
         raise ValueError("mde: empty mask intersection")

@@ -135,29 +135,32 @@ class GroupNorm(Module):
         return T.group_norm(x, self.groups, g, b)
 
 
-def _act(x, activation, slope):
-    return T.leaky_relu(x, slope if activation == "leaky" else 0.0)
+LEAKY_SLOPE = 0.01
+
+
+def _act(x, activation):
+    return T.leaky_relu(x, LEAKY_SLOPE if activation == "leaky" else 0.0)
 
 
 class DoubleConv(Module):
     """Two 3x3 convolutions with optional group norm, activation after each."""
 
-    def __init__(self, rng, cin, cout, norm, activation, slope):
+    def __init__(self, rng, cin, cout, norm, activation):
         self.c1 = Conv(rng, cin, cout, 3, 1, 1)
         self.c2 = Conv(rng, cout, cout, 3, 1, 1)
         self.n1 = GroupNorm(cout) if norm == "group" else None
         self.n2 = GroupNorm(cout) if norm == "group" else None
-        self.activation, self.slope = activation, slope
+        self.activation = activation
 
     def forward(self, x, frozen=False):
         h = self.c1.forward(x, frozen)
         if self.n1 is not None:
             h = self.n1.forward(h, frozen)
-        h = _act(h, self.activation, self.slope)
+        h = _act(h, self.activation)
         h = self.c2.forward(h, frozen)
         if self.n2 is not None:
             h = self.n2.forward(h, frozen)
-        return _act(h, self.activation, self.slope)
+        return _act(h, self.activation)
 
     def children(self):
         return _numbered("", [m for m in (self.c1, self.n1, self.c2, self.n2) if m is not None])
@@ -170,7 +173,6 @@ class UnetSpec:
     encoder_features: list = field(default_factory=lambda: [16, 32, 64, 64])
     norm: str = "none"  # "group" | "none"
     activation: str = "relu"  # "leaky" | "relu"
-    leaky_slope: float = 0.01
     zero_init_head: bool = False
 
     def __post_init__(self):
@@ -185,7 +187,7 @@ class UNet(Module):
     def __init__(self, spec: UnetSpec, rng):
         self.spec = spec
         f = spec.encoder_features
-        mk = lambda cin, cout: DoubleConv(rng, cin, cout, spec.norm, spec.activation, spec.leaky_slope)
+        mk = lambda cin, cout: DoubleConv(rng, cin, cout, spec.norm, spec.activation)
         self.enc = [mk(spec.in_channels, f[0])]
         self.down = []
         for i in range(1, len(f)):
@@ -223,15 +225,15 @@ class UNet(Module):
 class ResBlock(Module):
     """Two 3x3 convolutions with an identity shortcut."""
 
-    def __init__(self, rng, channels, activation, slope, spectral):
+    def __init__(self, rng, channels, activation, spectral):
         self.c1 = Conv(rng, channels, channels, 3, 1, 1, spectral=spectral)
         self.c2 = Conv(rng, channels, channels, 3, 1, 1, spectral=spectral)
-        self.activation, self.slope = activation, slope
+        self.activation = activation
 
     def forward(self, x, frozen=False):
-        h = _act(self.c1.forward(x, frozen), self.activation, self.slope)
+        h = _act(self.c1.forward(x, frozen), self.activation)
         h = self.c2.forward(h, frozen)
-        return _act(h + x, self.activation, self.slope)
+        return _act(h + x, self.activation)
 
     def children(self):
         return _numbered("", [self.c1, self.c2])
@@ -254,7 +256,6 @@ class EncoderSpec:
     spectral_norm: bool = False
     coord_input: bool = False
     activation: str = "relu"
-    leaky_slope: float = 0.01
     zero_init_head: bool = False
 
     def __post_init__(self):
@@ -273,7 +274,7 @@ class Encoder(Module):
         prev = cin
         for feat in f:
             self.down.append(Conv(rng, prev, feat, 2, 2, 0, spectral=spec.spectral_norm))
-            self.blocks.append(ResBlock(rng, feat, spec.activation, spec.leaky_slope, spec.spectral_norm))
+            self.blocks.append(ResBlock(rng, feat, spec.activation, spec.spectral_norm))
             prev = feat
         self.fc = DenseHead(rng, f[-1], spec.out_dim, zero_init=spec.zero_init_head, spectral=spec.spectral_norm)
 
@@ -341,7 +342,7 @@ def build_models(in_channels: int, label_channels: int, image_size: int, seed: i
     rngs = [np.random.default_rng(s) for s in seeds]
 
     f = UNet(UnetSpec(in_channels, label_channels, list(features_f), norm="group",
-                      activation="leaky", leaky_slope=0.01), rngs[0])
+                      activation="leaky"), rngs[0])
     h_rig = h_svf = g_svf = d = None
     if registration:
         reg_in = in_channels + label_channels + 1
@@ -355,6 +356,5 @@ def build_models(in_channels: int, label_channels: int, image_size: int, seed: i
         cond = adversarial_mode in ("eq-adv", "def-cond-adv")
         d_in = label_channels + (in_channels if cond else 0)
         d = Encoder(EncoderSpec(d_in, list(features_disc), out_dim=1, spectral_norm=True,
-                                activation="leaky", leaky_slope=0.01), rngs[4])
-    return ModelBundle(f=f, h_rig=h_rig, h_svf=h_svf, g_svf=g_svf, d=d,
-                       max_angle=math.pi / 6.0, max_shift=0.25 * image_size)
+                                activation="leaky"), rngs[4])
+    return ModelBundle(f=f, h_rig=h_rig, h_svf=h_svf, g_svf=g_svf, d=d, max_shift=0.25 * image_size)

@@ -247,7 +247,7 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
 
     def loss_nonrigidity(rng):
         base = D.svf_exp(D.gaussian_svf((5, 4), (4, 3), (0.9, -0.8), 10, 10)).coords.data
-        f = lambda z: L.nonrigidity(D.Deformation.from_coords(z))
+        f = lambda z: L.nonrigidity(D.Deformation.from_coords(z), L.LossWeights())
         return gc(f, Tensor(base, requires_grad=True), eps=1e-6, rng=rng)
     check("loss/nonrigidity", loss_nonrigidity)
 
@@ -364,7 +364,8 @@ def rigid_penalty(rng, n: int, size: int) -> float:
     for _ in range(n):
         p = D.RigidParams(rng.uniform(-math.pi / 2, math.pi / 2),
                           tuple(rng.uniform(-6, 6, size=2)), (centre, centre))
-        worst = max(worst, float(L.nonrigidity(D.rigid_to_deformation(p), h=size, w=size).data))
+        d = D.rigid_to_deformation(p)
+        worst = max(worst, float(L.nonrigidity(d, L.LossWeights(), size, size).data))
     return worst
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -655,53 +655,45 @@ def sample_validity(mask: np.ndarray, coords: np.ndarray) -> np.ndarray:
 # -- optimizer ---------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Adam moments for one parameter list. Defaults follow common practice;
-    the training description names the optimizer but not its betas."""
-
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float):
-    """One in-place Adam update with bias correction."""
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state length mismatch")
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-
-
 class Adam:
-    """Thin convenience wrapper binding a parameter list to an AdamState."""
+    """In-place Adam with bias correction (Kingma & Ba 2015) over one
+    parameter list. The training description names the optimizer but not its
+    betas, so they follow common practice. ``t`` counts steps; the first
+    and second moments ``m`` and ``v`` are allocated at the first step."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
+        self.t = 0
+        self.m: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
 
     def step(self):
-        grads = [p.grad for p in self.params]
-        adam_step(self.params, grads, self.state, self.lr)
+        """One update from each parameter's ``.grad`` (None counts as zero)."""
+        if not self.m:
+            self.m = [np.zeros_like(p.data) for p in self.params]
+            self.v = [np.zeros_like(p.data) for p in self.params]
+        if len(self.m) != len(self.params) or len(self.v) != len(self.params):
+            raise ValueError("parameter/moment count mismatch")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self):
         for p in self.params:
@@ -728,15 +720,13 @@ def spectral_normalize(w: Tensor, state: PowerIterState, update: bool = True) ->
     if state.u is None:
         u = np.ones(mat.shape[0], dtype=DTYPE)
         state.u = u / np.linalg.norm(u)
+    v = mat.T @ state.u
+    v /= np.linalg.norm(v) + 1e-12
     if update:
-        v = mat.T @ state.u
-        v /= np.linalg.norm(v) + 1e-12
         u = mat @ v
         u /= np.linalg.norm(u) + 1e-12
         state.u = u
     else:
-        v = mat.T @ state.u
-        v /= np.linalg.norm(v) + 1e-12
         u = state.u
     sigma = float(u @ (mat @ v))
     return mul(w, 1.0 / max(sigma, 1e-12))

@@ -29,7 +29,7 @@ from .deform import (Deformation, Image, NonFiniteField, Svf, TransformConfig, c
 from .losses import (LossReport, LossWeights, adversarial_losses, commutation_loss, cross_sim,
                      masked_l1, reg_cross, reg_intra, similarity_default,
                      similarity_equivariance, total_loss)
-from .networks import ModelBundle, build_models, rigid_head
+from .networks import build_models, rigid_head
 from .datagen import Dataset, Sample, channel_swap
 from . import metrics as M
 
@@ -242,7 +242,7 @@ def _mask_channel(img: Image) -> Tensor:
 
 
 class Trainer:
-    def __init__(self, cfg: TrainConfig, dataset: Dataset | None, models: ModelBundle | None = None,
+    def __init__(self, cfg: TrainConfig, dataset: Dataset | None,
                  in_channels: int | None = None, label_channels: int | None = None,
                  image_size: int | None = None):
         self.cfg = cfg
@@ -257,18 +257,16 @@ class Trainer:
             image_size = image_size or dataset.image_size or (dataset.train[0].x.extents[0] if dataset.train else 0)
         self.in_channels, self.label_channels, self.image_size = in_channels, label_channels, image_size
 
-        if models is None:
-            models = build_models(
-                in_channels, label_channels, image_size, seed=cfg.seed,
-                features_f=list(cfg.features_f),
-                features_reg=list(cfg.features_reg) or None,
-                features_rig=list(cfg.features_rig),
-                features_disc=list(cfg.features_disc) or None,
-                registration=self.plan.registration,
-                adversarial_mode=self.plan.adv_mode)
-        self.models = models
+        self.models = build_models(
+            in_channels, label_channels, image_size, seed=cfg.seed,
+            features_f=list(cfg.features_f),
+            features_reg=list(cfg.features_reg) or None,
+            features_rig=list(cfg.features_rig),
+            features_disc=list(cfg.features_disc) or None,
+            registration=self.plan.registration,
+            adversarial_mode=self.plan.adv_mode)
 
-        named = models.named_params()
+        named = self.models.named_params()
         self.named_gen = [(n, p) for n, p in named if not n.startswith("d.")]
         self.named_disc = [(n, p) for n, p in named if n.startswith("d.")]
         self.opt_main = Adam([p for _, p in self.named_gen], cfg.lr_main)
@@ -321,13 +319,12 @@ class Trainer:
         """Forward passes and every enabled loss term for one pair.
 
         Returns (terms, report, total, d_loss): ``terms`` and their weighted
-        ``total`` hold live tensors for the generator; ``d_loss`` is the
-        discriminator's own loss on detached images (None without
-        adversarial training).
+        ``total`` hold live tensors for the generator, and ``report`` their
+        values; ``d_loss`` is the discriminator's own loss on detached images
+        (None without adversarial training).
         """
         plan, cfg = self.plan, self.cfg
         h, w = x.extents
-        report = LossReport()
         x = self._scaled(x)
         y_tilde = self._scaled(y_tilde)
 
@@ -344,55 +341,46 @@ class Trainer:
 
         pred = self._predict_scaled(x)
         terms = {}
+        empty = []  # one flag per masked comparison: no mutually valid pixel
         d_loss = None
 
         if not plan.registration:
-            sim, empty = masked_l1(pred, y_tilde)
-            report.record("sim", sim, empty)
-            terms["sim"] = sim
+            terms["sim"], e0 = masked_l1(pred, y_tilde)
+            empty.append(e0)
         else:
             fw = self._registration_forward(x, y_tilde, pred)
-            rig_sim, e1 = cross_sim(pred, y_tilde, fw.rigid)
-            elastic_sim, e2 = cross_sim(pred, y_tilde, fw.d_cross)
-            cross_reg = reg_cross(fw.e_cross, fw.e_cross_inv, self.weights)
-            report.record("rig_sim", rig_sim, e1)
-            report.record("cross_sim", elastic_sim, e2)
-            report.record("cross_reg", cross_reg)
+            terms["rig_sim"], e1 = cross_sim(pred, y_tilde, fw.rigid)
+            terms["cross_sim"], e2 = cross_sim(pred, y_tilde, fw.d_cross)
+            terms["cross_reg"] = reg_cross(fw.e_cross, fw.e_cross_inv, self.weights)
 
             x_t = warp(x, t) if plan.needs_transform else None
             pred_t = self._predict_scaled(x_t) if plan.needs_transform else None
 
             if plan.sim_mode == "eq":
-                intra_sim, e3 = similarity_equivariance(pred_t, fw.y_reg, fw.d_intra, t_inv)
+                terms["intra_sim"], e3 = similarity_equivariance(pred_t, fw.y_reg, fw.d_intra, t_inv)
             else:
-                intra_sim, e3 = similarity_default(pred, fw.y_reg, fw.d_intra)
-            intra_reg = reg_intra(svf_exp(fw.v_intra), fw.d_intra, fw.e_cross, fw.e_cross_inv,
-                                  self.weights)
-            report.record("intra_sim", intra_sim, e3)
-            report.record("intra_reg", intra_reg)
-            terms.update(rig_sim=rig_sim, cross_sim=elastic_sim, cross_reg=cross_reg,
-                         intra_sim=intra_sim, intra_reg=intra_reg)
+                terms["intra_sim"], e3 = similarity_default(pred, fw.y_reg, fw.d_intra)
+            terms["intra_reg"] = reg_intra(svf_exp(fw.v_intra), fw.d_intra, fw.e_cross,
+                                           fw.e_cross_inv, self.weights)
+            empty += [e1, e2, e3]
 
             if plan.use_com:
-                com, e4 = commutation_loss(pred, pred_t, t)
-                report.record("com", com, e4)
-                terms["com"] = com
+                terms["com"], e4 = commutation_loss(pred, pred_t, t)
+                empty.append(e4)
 
             if plan.adv_mode == "eq-adv":
                 label_t = warp(y_tilde, compose(t, fw.d_cross.detached()))
                 pred_reg_t = warp(pred_t, compose(t, compose(fw.d_intra, t_inv)))
-                d_loss, g_adv = adversarial_losses(self.models.d, x, label_t, pred_reg_t, t,
-                                                   "eq-adv", non_saturating=cfg.non_saturating_gan)
+                d_loss, terms["adv_g"] = adversarial_losses(
+                    self.models.d, x, label_t, pred_reg_t, t, "eq-adv",
+                    non_saturating=cfg.non_saturating_gan)
             elif plan.adv_mode is not None:
-                d_loss, g_adv = adversarial_losses(self.models.d, x, y_tilde, pred, None,
-                                                   plan.adv_mode, non_saturating=cfg.non_saturating_gan)
-            if plan.adv_mode is not None:
-                report.record("adv_g", g_adv)
-                terms["adv_g"] = g_adv
+                d_loss, terms["adv_g"] = adversarial_losses(
+                    self.models.d, x, y_tilde, pred, None, plan.adv_mode,
+                    non_saturating=cfg.non_saturating_gan)
 
-        total = total_loss(terms, self.weights, registration=plan.registration,
-                           use_com=plan.use_com, adversarial=plan.adv_mode is not None)
-        report.total = float(total.data)
+        total = total_loss(terms, self.weights)
+        report = LossReport({k: v.item() for k, v in terms.items()}, total.item(), sum(empty))
         return terms, report, total, d_loss
 
     def generator_step(self, sample: Sample):
@@ -466,7 +454,7 @@ class Trainer:
     def _state_arrays(self):
         out = [(f"param.{n}", p.data) for n, p in self.named_gen + self.named_disc]
         for tag, opt, named in self._optimizers():
-            for (n, _), m_arr, v_arr in zip(named, opt.state.m, opt.state.v):
+            for (n, _), m_arr, v_arr in zip(named, opt.m, opt.v):
                 out += [(f"adam_{tag}.m.{n}", m_arr), (f"adam_{tag}.v.{n}", v_arr)]
         for n, st in self.models.power_states():
             if st.u is not None:
@@ -482,8 +470,8 @@ class Trainer:
             "permutation": self.permutation,
             "val_history": self.val_history,
             "val_mde_history": self.val_mde_history,
-            "adam_step_main": self.opt_main.state.step,
-            "adam_step_disc": self.opt_disc.state.step if self.opt_disc else 0,
+            "adam_step_main": self.opt_main.t,
+            "adam_step_disc": self.opt_disc.t if self.opt_disc else 0,
             "rng_state": self.rng.bit_generator.state,
             "in_channels": self.in_channels,
             "label_channels": self.label_channels,
@@ -501,9 +489,9 @@ class Trainer:
             p.data = arr.copy()
         for tag, opt, named in self._optimizers():
             if any(k.startswith(f"adam_{tag}.") for k in arrays):
-                opt.state.m = [arrays[f"adam_{tag}.m.{n}"].copy() for n, _ in named]
-                opt.state.v = [arrays[f"adam_{tag}.v.{n}"].copy() for n, _ in named]
-            opt.state.step = int(meta[f"adam_step_{tag}"])
+                opt.m = [arrays[f"adam_{tag}.m.{n}"].copy() for n, _ in named]
+                opt.v = [arrays[f"adam_{tag}.v.{n}"].copy() for n, _ in named]
+            opt.t = int(meta[f"adam_step_{tag}"])
         for n, st in self.models.power_states():
             key = f"power.{n}"
             if key in arrays:

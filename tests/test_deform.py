@@ -309,3 +309,11 @@ class TestDerivativeFields:
     def test_too_small_extent(self):
         with pytest.raises(ValueError):
             D.jacobian_field(D.identity_map(1, 5))
+
+    def test_affine_needs_explicit_extents(self):
+        with pytest.raises(ValueError, match="explicit extents"):
+            D.jacobian_field(D.identity_affine())
+        with pytest.raises(ValueError, match="explicit extents"):
+            mde(D.identity_affine(), D.identity_affine())
+        with pytest.raises(ValueError, match="extents"):
+            D.jacobian_field(D.identity_map(6, 6), 8, 8)

@@ -454,33 +454,41 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         p = Tensor(np.array([1.0, -1.0]), requires_grad=True)
         g = np.array([0.3, -0.001])
-        st = T.AdamState()
-        T.adam_step([p], [g], st, lr=0.1)
+        opt = T.Adam([p], lr=0.1)
+        p.grad = g
+        opt.step()
         delta = p.data - np.array([1.0, -1.0])
         assert np.allclose(delta, -0.1 * np.sign(g), atol=1e-4)
-        assert st.step == 1
+        assert opt.t == 1
 
     def test_zero_gradient_keeps_parameters(self):
         p = Tensor(np.array([2.0]), requires_grad=True)
-        st = T.AdamState()
-        T.adam_step([p], [np.zeros(1)], st, lr=0.1)
-        assert p.data[0] == 2.0 and st.step == 1
+        opt = T.Adam([p], lr=0.1)
+        p.grad = np.zeros(1)
+        opt.step()
+        assert p.data[0] == 2.0 and opt.t == 1
 
     def test_square_objective_matches_scalar_oracle(self):
         expected = oracles.adam_scalar(lambda w: 2 * w, 1.0, 0.1, 100)
         p = Tensor(np.array([1.0]), requires_grad=True)
-        st = T.AdamState()
+        opt = T.Adam([p], 0.1)
         for _ in range(100):
-            p.grad = None
+            opt.zero_grad()
             T.tsum(T.mul(p, p)).backward()
-            T.adam_step([p], [p.grad], st, 0.1)
+            opt.step()
         assert abs(p.data[0]) < 0.2
         assert abs(p.data[0] - expected) < 1e-12
 
     def test_shape_mismatch(self):
         p = Tensor(np.zeros(3), requires_grad=True)
+        opt = T.Adam([p], 0.1)
+        p.grad = np.zeros(4)
         with pytest.raises(ValueError):
-            T.adam_step([p], [np.zeros(4)], T.AdamState(), 0.1)
+            opt.step()
+        p.grad = np.zeros(3)
+        opt.m = opt.v = [np.zeros(3), np.zeros(3)]  # e.g. moments of another parameter list
+        with pytest.raises(ValueError):
+            opt.step()
 
 
 class TestSpectralNorm:

@@ -135,6 +135,23 @@ class TestSteps:
         assert report.terms["sim"] == pytest.approx(direct.item(), rel=1e-12)
         assert d_loss is None
 
+    @pytest.mark.parametrize("config, keys", [
+        ("NoReg+Aug", ["sim"]),
+        ("EqSim", ["rig_sim", "cross_sim", "cross_reg", "intra_sim", "intra_reg"]),
+        ("EqSim+Com", ["rig_sim", "cross_sim", "cross_reg", "intra_sim", "intra_reg", "com"]),
+        ("DefSim+DefCondAdv", ["rig_sim", "cross_sim", "cross_reg", "intra_sim", "intra_reg", "adv_g"]),
+        ("EqSim+Com+EqAdv", ["rig_sim", "cross_sim", "cross_reg", "intra_sim", "intra_reg", "com",
+                             "adv_g"]),
+    ])
+    def test_terms_each_config_trains(self, config, keys):
+        # total_loss weights whatever it is given, so the term set each
+        # configuration trains is fixed here; the order is the log's key order
+        ds = tiny_dataset()
+        tr = TR.Trainer(tiny_cfg(config=config), ds)
+        terms, report, total, _ = tr.build_losses(ds.train[0].x, ds.train[0].y_tilde)
+        assert list(terms) == keys and list(report.terms) == keys
+        assert report.total == total.item()
+
     def test_zero_init_starts_at_identity(self):
         ds = tiny_dataset()
         tr = TR.Trainer(tiny_cfg(), ds)

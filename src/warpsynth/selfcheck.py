@@ -294,30 +294,17 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
 
 def _disc_grad(dnet, x, label, pred) -> float:
     """Finite-difference check of the discriminator loss against one of the
-    discriminator's own weights."""
-    probe = dnet.fc.w
-    d_loss, _ = L.adversarial_losses(dnet, x, label, pred, None, "def-cond-adv")
-    for p in dnet.params():
-        p.grad = None
-    d_loss.backward()
-    analytic = probe.grad.copy() if probe.grad is not None else np.zeros_like(probe.data)
-    eps = 1e-6
-    worst = 0.0
-    flat = probe.data.ravel()
-    for i in range(min(8, flat.size)):
-        orig = flat[i]
-        with T.no_grad():
-            flat[i] = orig + eps
-            fp = float(L.adversarial_losses(dnet, x, label, pred, None, "def-cond-adv")[0].data)
-            flat[i] = orig - eps
-            fm = float(L.adversarial_losses(dnet, x, label, pred, None, "def-cond-adv")[0].data)
-            flat[i] = orig
-        numeric = (fp - fm) / (2 * eps)
-        a = analytic.ravel()[i]
-        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
-    return worst
+    discriminator's own weights, the final dense layer's."""
+    fc = dnet.fc
 
+    def d_loss(w):
+        kept, fc.w = fc.w, w
+        try:
+            return L.adversarial_losses(dnet, x, label, pred, None, "def-cond-adv")[0]
+        finally:
+            fc.w = kept
 
+    return T.grad_check(d_loss, fc.w, eps=1e-6, coords=range(min(8, fc.w.size)))
 
 
 # -- acceptance properties ------------------------------------------------------------

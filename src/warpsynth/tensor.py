@@ -438,18 +438,6 @@ def _im2col(x: np.ndarray, k: int, stride: int):
     return cols.reshape(c * k * k, ho * wo), ho, wo
 
 
-def _fold_range(a: int, n: int, stride: int, padding: int, size: int):
-    """Source positions i in [0, n) of kernel offset a that land inside an
-    axis of ``size`` after dropping ``padding`` (padded position a + i*stride),
-    as a (source, destination) pair of slices."""
-    lo = max(0, -((a - padding) // stride))
-    hi = min(n - 1, (size - 1 + padding - a) // stride)
-    if hi < lo:
-        return slice(0, 0), slice(0, 0)
-    start = a + lo * stride - padding
-    return slice(lo, hi + 1), slice(start, start + (hi - lo) * stride + 1, stride)
-
-
 def _patches(x: np.ndarray, k: int, stride: int, padding: int):
     """``_im2col`` of the (C,H,W) input zero-padded by ``padding``."""
     if padding:
@@ -460,53 +448,60 @@ def _patches(x: np.ndarray, k: int, stride: int, padding: int):
     return _im2col(x, k, stride)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Cross-correlate (C_in,H,W) with (C_out,C_in,k,k) over the input
-    zero-padded by ``padding``. Returns the (C_out,Ho,Wo) output and the
-    im2col patch matrix, for a caller that needs it in the same pass."""
+    zero-padded by ``padding``: one im2col patch matrix and one GEMM."""
     c_out = w.shape[0]
     cols, ho, wo = _patches(x, w.shape[2], stride, padding)
-    return (w.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo), cols
+    return (w.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo)
 
 
-def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                       h: int, wd: int) -> np.ndarray:
-    """Adjoint of ``_correlate`` in its input: the patch-space product w.T @ g
-    folded back (col2im) onto the unpadded (C_in, h, wd) image, summing where
-    patches overlap. What falls on the padding is dropped, not summed and cropped."""
+def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of ``_correlate`` in its input, for the two layouts ``conv2d``
+    accepts. At stride = k (padding 0) the patches tile the image without
+    overlap, so the patch-space product w.T @ g goes back block by block with
+    one reshape. At stride 1 the adjoint is itself a correlation: g against
+    the flipped kernel with in/out roles swapped, padded by k-1-padding."""
     c_out, c_in, k, _ = w.shape
-    ho, wo = g.shape[1:]
-    cols = (w.reshape(c_out, -1).T @ g.reshape(c_out, -1)).reshape(c_in, k, k, ho, wo)
-    out = np.zeros((c_in, h, wd), dtype=cols.dtype)
-    for a in range(k):
-        ys, yd = _fold_range(a, ho, stride, padding, h)
-        for b in range(k):
-            xs, xd = _fold_range(b, wo, stride, padding, wd)
-            out[:, yd, xd] += cols[:, a, b, ys, xs]
-    return out
+    if stride == k:
+        ho, wo = g.shape[1:]
+        cols = w.reshape(c_out, -1).T @ g.reshape(c_out, -1)
+        return cols.reshape(c_in, k, k, ho, wo).transpose(0, 3, 1, 4, 2).reshape(c_in, ho * k, wo * k)
+    return _correlate(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, k - 1 - padding)
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0):
-    """Cross-correlation of (C_in,H,W) with (C_out,C_in,k,k), zero padding."""
+    """Cross-correlation of (C_in,H,W) with (C_out,C_in,k,k), zero padding.
+
+    Two layouts are supported, the ones the networks use: stride 1 with
+    padding 0..k-1 (3x3/pad 1, 1x1), whose input gradient is again a
+    correlation, and stride = k with no padding (the 2x2/stride-2
+    down-convs), whose patches do not overlap. Any other layout raises
+    ``ValueError``.
+    """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     c_out, c_in, k, k2 = w.data.shape
     if k != k2:
         raise ValueError("only square kernels supported")
+    if not ((stride == 1 and 0 <= padding <= k - 1) or (stride == k and padding == 0)):
+        raise ValueError(f"unsupported layout k={k}, stride={stride}, padding={padding}: "
+                         "only stride 1 with padding <= k-1, or stride k without padding")
     if x.data.ndim != 3 or x.data.shape[0] != c_in:
         raise ValueError(f"conv2d input {x.data.shape} incompatible with weight {w.data.shape}")
     h, wd = x.data.shape[1:]
-    if (h + 2 * padding - k) % stride or (wd + 2 * padding - k) % stride:
-        raise ValueError(f"non-integral output extent for input {x.data.shape}, k={k}, stride={stride}, padding={padding}")
+    if h % stride or wd % stride or min(h, wd) + 2 * padding < k:
+        raise ValueError(f"input {x.data.shape} gives no whole, non-empty output for k={k}, "
+                         f"stride={stride}, padding={padding}")
 
-    out, _ = _correlate(x.data, w.data, stride, padding)
+    out = _correlate(x.data, w.data, stride, padding)
     out += b.data[:, None, None]
 
     def grad_fn(g):
         # only the gradients some input needs: a network's first layer reads
-        # a constant image, whose input gradient would be a wasted fold
+        # a constant image, whose input gradient would be a wasted GEMM
         grads = []
         if x.requires_grad:
-            grads.append((x, _correlate_adjoint(g, w.data, stride, padding, h, wd)))
+            grads.append((x, _correlate_adjoint(g, w.data, stride, padding)))
         if w.requires_grad:
             # the patch matrix (k*k times the input at stride 1) is rebuilt
             # here from the input the graph keeps anyway, rather than held
@@ -521,31 +516,30 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
 
 
 def conv_transpose2d(x, w, b, stride: int = 2):
-    """Exact adjoint of the matching strided conv2d (plus bias).
+    """Exact adjoint of the matching 2x2/stride-2 conv2d (plus bias): the
+    U-Net's 2x upsampling, and the only layout supported.
 
-    Weight layout is (C_in, C_out, k, k), i.e. the same array that the paired
+    Weight layout is (C_in, C_out, 2, 2), i.e. the same array that the paired
     conv2d would use with its in/out roles swapped: the forward pass is that
     conv2d's input gradient, and the input gradient is that conv2d's forward.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     c_in, c_out, k, k2 = w.data.shape
-    if k != k2:
-        raise ValueError("only square kernels supported")
-    if stride != 2:
-        raise ValueError(f"unsupported stride {stride}: only the U-Net's 2x upsampling is implemented")
+    if not k == k2 == stride == 2:
+        raise ValueError(f"unsupported kernel {k}x{k2} at stride {stride}: "
+                         "only the U-Net's 2x2/stride-2 upsampling is implemented")
     if x.data.ndim != 3 or x.data.shape[0] != c_in:
         raise ValueError(f"conv_transpose2d input {x.data.shape} incompatible with weight {w.data.shape}")
 
-    hi, wi = x.data.shape[1:]
-    out = _correlate_adjoint(x.data, w.data, stride, 0, (hi - 1) * stride + k, (wi - 1) * stride + k)
+    out = _correlate_adjoint(x.data, w.data, stride, 0)
     out += b.data[:, None, None]
 
     def grad_fn(g):
         grads = []
         if x.requires_grad or w.requires_grad:
-            gx, cols = _correlate(g, w.data, stride, 0)
+            cols, ho, wo = _patches(g, k, stride, 0)
             if x.requires_grad:
-                grads.append((x, gx))
+                grads.append((x, (w.data.reshape(c_in, -1) @ cols).reshape(c_in, ho, wo)))
             if w.requires_grad:
                 # gw[c, o, a, b] = sum_ij x[c, i, j] * g[o, i*s + a, j*s + b]; a
                 # contiguous (HW, C_out*k*k) operand keeps BLAS's summation order

@@ -289,11 +289,6 @@ class Trainer:
     def _predict_scaled(self, x_scaled: Image) -> Image:
         return Image(self.models.f.forward(x_scaled.data), x_scaled.mask)
 
-    def predict(self, x: Image) -> Image:
-        """Prediction in intensity units (inputs and outputs in [0, scale])."""
-        pred = self._predict_scaled(self._scaled(x))
-        return Image(pred.data * self.cfg.intensity_scale, pred.mask)
-
     def _registration_forward(self, x: Image, y_tilde: Image, pred: Image) -> RegForward:
         mb = self.models
         h, w = x.extents
@@ -422,7 +417,7 @@ class Trainer:
                 pred = self._predict_scaled(x)
                 if self.plan.registration:
                     fw = self._registration_forward(x, y_tilde, pred)
-                    score, _ = masked_l1(warp(pred, fw.d_intra), warp(y_tilde, fw.d_cross))
+                    score, _ = masked_l1(warp(pred, fw.d_intra), fw.y_reg)
                 else:
                     score, _ = masked_l1(pred, y_tilde)
                 vals.append(float(score.data))

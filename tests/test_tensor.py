@@ -112,17 +112,30 @@ class TestConv:
         assert T.grad_check(lambda z: T.mean(T.conv2d(x, z, b, 1, 1) * pert), w) < 1e-5
         assert T.grad_check(lambda z: T.mean(T.conv2d(x, w, z, 1, 1) * pert), b) < 1e-5
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (1, 2), (2, 0)])
     def test_gradient_of_each_input_alone_matches_all(self, rng, stride, padding):
-        # the input gradient folds patches back and drops what lands on the
-        # padding: check it on strided and padded layouts too
-        arrays = (rng.normal(size=(2, 7, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(3,)))
-        ho = (7 + 2 * padding - 3) // stride + 1
-        pert = Tensor(rng.normal(size=(3, ho, ho)))
-        x, w, b = (Tensor(a) for a in arrays)
-        x.requires_grad = True
-        assert T.grad_check(lambda z: T.mean(T.conv2d(z, w, b, stride, padding) * pert), x) < 1e-5
-        assert_each_gradient_alone(lambda *ts: T.conv2d(*ts, stride, padding) * pert, arrays)
+        # every supported layout: stride 1 with padding up to k-1, and
+        # stride = k without padding, whose input gradient is a block reshape
+        for k in {(1, 0): (1, 3), (1, 1): (3,), (1, 2): (3,), (2, 0): (2,)}[stride, padding]:
+            arrays = (rng.normal(size=(2, 6, 6)), rng.normal(size=(3, 2, k, k)), rng.normal(size=(3,)))
+            ho = (6 + 2 * padding - k) // stride + 1
+            pert = Tensor(rng.normal(size=(3, ho, ho)))
+            x, w, b = (Tensor(a) for a in arrays)
+            x.requires_grad = True
+            assert T.grad_check(lambda z: T.mean(T.conv2d(z, w, b, stride, padding) * pert), x) < 1e-5
+            assert_each_gradient_alone(lambda *ts: T.conv2d(*ts, stride, padding) * pert, arrays)
+
+    @pytest.mark.parametrize("k,padding", [(3, 1), (3, 0), (1, 0)])
+    def test_stride_one_adjoint_identity(self, rng, k, padding):
+        # the stride-1 input gradient is the flipped-kernel correlation: it
+        # must be the exact adjoint of the forward map, <Ax, y> = <x, A^T y>
+        for _ in range(3):
+            x = Tensor(rng.normal(size=(2, 7, 7)), requires_grad=True)
+            w = Tensor(rng.normal(size=(4, 2, k, k)))
+            fwd = T.conv2d(x, w, Tensor(np.zeros(4)), 1, padding)
+            y = rng.normal(size=fwd.shape)
+            T.tsum(fwd * Tensor(y)).backward()
+            assert abs(float((fwd.data * y).sum()) - float((x.data * x.grad).sum())) < 1e-10
 
     def test_keeps_no_patch_matrix(self, rng):
         # the weight gradient rebuilds the im2col matrix (9x the input for a
@@ -132,11 +145,11 @@ class TestConv:
         b = Tensor(np.zeros(8), requires_grad=True)
         _, held, _ = traced(lambda: T.conv2d(x, w, b, 1, 1))
         assert held < 3 * x.data.nbytes
-        for stride, padding in ((1, 1), (2, 1), (1, 0)):
-            xs = Tensor(rng.normal(size=(2, 7, 7)))
-            ho = (7 + 2 * padding - 3) // stride + 1
+        for k, stride, padding in ((3, 1, 1), (3, 1, 0), (1, 1, 0), (2, 2, 0)):
+            xs = Tensor(rng.normal(size=(2, 6, 6)))
+            ho = (6 + 2 * padding - k) // stride + 1
             pert = Tensor(rng.normal(size=(3, ho, ho)))
-            ws = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+            ws = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
             bs = Tensor(np.zeros(3))
             err = T.grad_check(lambda z: T.mean(T.conv2d(xs, z, bs, stride, padding) * pert), ws)
             assert err < 1e-6
@@ -146,6 +159,23 @@ class TestConv:
         w = Tensor(rng.normal(size=(1, 1, 2, 2)))
         with pytest.raises(ValueError):
             T.conv2d(x, w, Tensor(np.zeros(1)), 2, 0)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_input_smaller_than_kernel_rejected(self, rng, size):
+        # a 3x3 kernel without padding needs at least 3x3 pixels: no empty
+        # output, and an error that names the layout
+        x = Tensor(rng.normal(size=(1, size, size)))
+        with pytest.raises(ValueError, match="non-empty"):
+            T.conv2d(x, Tensor(rng.normal(size=(1, 1, 3, 3))), Tensor(np.zeros(1)), 1, 0)
+
+    @pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (3, 2, 0), (2, 2, 1), (3, 3, 1),
+                                                  (3, 1, 3), (3, 1, -1), (1, 2, 0)])
+    def test_unsupported_layout_rejected(self, rng, k, stride, padding):
+        # only stride 1 with padding 0..k-1, or stride = k without padding
+        x = Tensor(rng.normal(size=(1, 6, 6)))
+        w = Tensor(rng.normal(size=(1, 1, k, k)))
+        with pytest.raises(ValueError, match="unsupported layout"):
+            T.conv2d(x, w, Tensor(np.zeros(1)), stride, padding)
 
 
 class TestConvTranspose:
@@ -178,17 +208,17 @@ class TestConvTranspose:
         assert T.grad_check(lambda z: T.mean(T.conv_transpose2d(x, z, b, 2) * pert), w) < 1e-5
 
     def test_gradient_of_each_input_alone_matches_all(self, rng):
-        pert = Tensor(rng.normal(size=(2, 7, 7)))
-        arrays = (rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(2,)))
+        pert = Tensor(rng.normal(size=(2, 6, 6)))
+        arrays = (rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(2,)))
         assert_each_gradient_alone(lambda *ts: T.conv_transpose2d(*ts, 2) * pert, arrays)
 
     def test_is_conv2d_with_roles_swapped(self, rng):
         # bitwise: the forward pass is conv2d's input gradient, and the input
         # gradient is conv2d's forward pass, with the same weight array
-        for k in (2, 3):
-            w = rng.normal(size=(4, 2, k, k))
-            x = Tensor(rng.normal(size=(2, 4 + k, 4 + k)), requires_grad=True)
-            y = rng.normal(size=(4, 3, 3))
+        for hi, wi in ((3, 3), (2, 5), (1, 1)):
+            w = rng.normal(size=(4, 2, 2, 2))
+            x = Tensor(rng.normal(size=(2, 2 * hi, 2 * wi)), requires_grad=True)
+            y = rng.normal(size=(4, hi, wi))
             T.tsum(T.conv2d(x, w, np.zeros(4), 2, 0) * Tensor(y)).backward()
             yt = Tensor(y, requires_grad=True)
             out = T.conv_transpose2d(yt, w, np.zeros(2), 2)
@@ -198,10 +228,11 @@ class TestConvTranspose:
             assert np.array_equal(yt.grad, T.conv2d(g, w, np.zeros(4), 2, 0).data)
 
     def test_unsupported_stride_rejected(self, rng):
-        for stride in (1, 3):
+        # only the 2x2 kernel at stride 2
+        for k, stride in ((2, 1), (2, 3), (3, 2), (1, 2)):
             with pytest.raises(ValueError):
                 T.conv_transpose2d(Tensor(rng.normal(size=(1, 2, 2))),
-                                   Tensor(rng.normal(size=(1, 1, 2, 2))), Tensor(np.zeros(1)), stride)
+                                   Tensor(rng.normal(size=(1, 1, k, k))), Tensor(np.zeros(1)), stride)
 
 
 class TestDense:

@@ -156,7 +156,7 @@ class TestSteps:
         ds = tiny_dataset()
         tr = TR.Trainer(tiny_cfg(), ds)
         s = ds.train[0]
-        pred = tr.predict(s.x)
+        pred = tr.infer(s.x)["prediction"]
         fw = tr._registration_forward(s.x, s.y_tilde, pred)
         ident = D.identity_map(*s.x.extents)
         assert np.array_equal(fw.d_intra.coords.data, ident.coords.data)
@@ -283,10 +283,27 @@ class TestValidation:
         assert tr.validation_score() == tr.validation_score()
 
     def test_registration_rule_uses_both_deformations(self):
+        # the score is the masked L1 between the prediction warped by d_intra
+        # and the label warped by d_cross, averaged over the val images; the
+        # velocity heads are drawn so that neither deformation is the identity
         ds = tiny_dataset()
         tr = TR.Trainer(tiny_cfg(), ds)
-        score = tr.validation_score()
-        assert math.isfinite(score) and score > 0
+        rng = np.random.default_rng(3)
+        for name, p in tr.named_gen:
+            if name.startswith(("h_svf.head.", "g_svf.head.")):
+                p.data = rng.uniform(-0.5, 0.5, p.data.shape)
+        by_hand = []
+        with T.no_grad():
+            for s in ds.val:
+                x, y_tilde = tr._scaled(s.x), tr._scaled(s.y_tilde)
+                pred = tr._predict_scaled(x)
+                fw = tr._registration_forward(x, y_tilde, pred)
+                ident = D.identity_map(*s.x.extents).coords.data
+                assert not np.array_equal(fw.d_intra.coords.data, ident)
+                assert not np.array_equal(fw.d_cross.dense_coords(*s.x.extents).data, ident)
+                score, _ = L.masked_l1(D.warp(pred, fw.d_intra), D.warp(y_tilde, fw.d_cross))
+                by_hand.append(float(score.data))
+        assert tr.validation_score() == float(np.mean(by_hand))
 
     def test_empty_validation_set(self):
         ds = tiny_dataset()

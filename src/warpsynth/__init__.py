@@ -47,7 +47,7 @@ if "numpy" in _sys.modules:
 
 from . import tensor, deform, losses, networks, metrics, datagen, trainer, fileio, selfcheck
 from .tensor import Tensor, no_grad, grad_check, Adam
-from .deform import (Affine, Deformation, Image, Mask, RigidParams, SimDeformParams, Svf,
+from .deform import (Affine, Deformation, Image, RigidParams, SimDeformParams, Svf,
                      TransformConfig, compose, forward_diffs, gaussian_svf, identity_map,
                      jacobian_field, rigid_to_deformation, sample_equivariance_transform,
                      simulate_deformation, svf_exp, warp, PRESETS)

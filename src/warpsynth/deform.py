@@ -28,11 +28,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-# validity masks are plain boolean arrays (1 = valid); they never enter the
-# gradient tape, so no wrapper type is needed
-Mask = np.ndarray
-
-
 @lru_cache(maxsize=32)
 def _grid_array(h: int, w: int) -> np.ndarray:
     g = np.stack(np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"))
@@ -346,11 +341,6 @@ def gaussian_svf(mu, sigma, m, h: int, w: int) -> Svf:
     return Svf(Tensor(field))
 
 
-def _sample_displacement(disp: Tensor, coords: Tensor) -> Tensor:
-    """Resample a displacement field at arbitrary coordinates, edge-clamped."""
-    return T.bilinear_sample(disp, coords, border="clamp")
-
-
 def default_squarings(v: Svf) -> int:
     """Halvings so the scaled field moves less than half a pixel; capped at 7."""
     m = float(np.max(np.abs(v.field.data))) if v.field.data.size else 0.0
@@ -375,7 +365,7 @@ def svf_exp(v: Svf, squarings: int | None = None) -> Deformation:
     grid = grid_coords(h, w)
     u = v.field * float(2.0 ** -squarings)
     for _ in range(squarings):
-        u = u + _sample_displacement(u, grid + u)
+        u = u + T.bilinear_sample(u, grid + u, border="clamp")
     return Deformation.from_coords(grid + u, full_mask(h, w))
 
 
@@ -402,7 +392,7 @@ def compose(outer: Deformation, inner: Deformation) -> Deformation:
         raise ValueError(f"extent mismatch: {outer.extents} vs {(h, w)}")
     q = outer.dense_coords(h, w)
     disp = inner.coords - grid_coords(h, w)
-    out_coords = q + _sample_displacement(disp, q)
+    out_coords = q + T.bilinear_sample(disp, q, border="clamp")
     valid = T.sample_validity(inner.mask_array(h, w), q.data)
     valid &= outer.mask_array(h, w)
     return Deformation.from_coords(out_coords, valid)

@@ -67,10 +67,9 @@ def masked_l1(a: Image, b: Image):
     return loss, False
 
 
-def similarity_default(pred: Image, label: Image, d: Deformation | None = None):
-    """L1 between the (optionally deformed) prediction and the label."""
-    moved = warp(pred, d) if d is not None else pred
-    return masked_l1(moved, label)
+def similarity_default(pred: Image, label: Image, d: Deformation):
+    """L1 between the deformed prediction and the label."""
+    return masked_l1(warp(pred, d), label)
 
 
 def similarity_equivariance(pred_t: Image, label: Image, d: Deformation, t_inv: Deformation):
@@ -85,11 +84,12 @@ def commutation_loss(pred: Image, pred_t: Image, t: Deformation):
     return masked_l1(warp(pred, t), pred_t)
 
 
-def cross_sim(pred: Image, y_tilde: Image, d: Deformation):
-    """Cross-registration similarity against a detached prediction, so only
-    the registration receives gradient: the rigid stage alone, or the
-    elastic one, which the caller builds with the rigid stage detached."""
-    return masked_l1(pred.detached(), warp(y_tilde, d))
+def cross_sim(pred: Image, label: Image):
+    """Cross-registration similarity between a detached prediction and the
+    label the caller warped, so only the registration receives gradient:
+    through the rigid stage alone, or through the elastic one, which the
+    caller builds with the rigid stage detached."""
+    return masked_l1(pred.detached(), label)
 
 
 # -- non-rigidity penalty ------------------------------------------------------------
@@ -173,46 +173,36 @@ def reg_intra(e_intra: Deformation, e_intra_inv: Deformation, e_cross: Deformati
 
 # -- adversarial -------------------------------------------------------------------
 
-ADV_MODES = ("eq-adv", "def-cond-adv", "def-uncond-adv")
 # discriminator probabilities are clamped this far inside (0, 1) before the log
 PROB_EPS = 1e-6
 
 
-def adversarial_losses(d_net, x: Image, label_reg: Image, pred_reg: Image,
-                       t: Deformation | None, mode: str, non_saturating: bool = False):
+def adversarial_losses(d_net, cond: Image | None, label_reg: Image, pred_reg: Image,
+                       non_saturating: bool = False):
     """Discriminator and generator log-likelihood losses.
 
-    ``label_reg`` and ``pred_reg`` arrive fully composed and warped by the
-    caller (detached on the registration path); for ``eq-adv`` the
-    conditioning input is warped by ``t`` here. Every image fed to the
-    discriminator is multiplied by the intersection of the compared masks.
-    The discriminator is applied frozen for the generator term, so gradient
-    reaches only the synthesis path.
+    Every image arrives built by the caller: ``label_reg`` and ``pred_reg``
+    fully composed and warped (detached on the registration path), and
+    ``cond``, the input the discriminator is conditioned on beside each of
+    them (the transformed input for eq-adv, the input itself for
+    def-cond-adv, None for an unconditional discriminator). Every image fed
+    to the discriminator is multiplied by the intersection of the compared
+    masks. The discriminator is applied frozen for the generator term, so
+    gradient reaches only the synthesis path.
     """
-    if mode not in ADV_MODES:
-        raise ValueError(f"unknown adversarial mode {mode!r}")
-    if mode == "eq-adv":
-        cond = warp(x, t)
-    elif mode == "def-cond-adv":
-        cond = x
-    else:
-        cond = None
-
     inter = label_reg.mask & pred_reg.mask
     if cond is not None:
         inter = inter & cond.mask
-    gate_img = lambda im: im.data * Tensor(np.broadcast_to(inter, im.data.shape).astype(np.float64))
+    gate = inter.astype(np.float64)
+    gate_img = lambda im: im.data * Tensor(np.broadcast_to(gate, im.data.shape))
 
-    label_feed = gate_img(label_reg.detached())
-    pred_live = gate_img(pred_reg)
-    pred_const = gate_img(pred_reg.detached())
+    real = gate_img(label_reg.detached())
+    fake_live = gate_img(pred_reg)
     if cond is not None:
         cond_feed = gate_img(cond.detached())
-        real = T.concat([cond_feed, label_feed])
-        fake_live = T.concat([cond_feed, pred_live])
-        fake_const = T.concat([cond_feed, pred_const])
-    else:
-        real, fake_live, fake_const = label_feed, pred_live, pred_const
+        real = T.concat([cond_feed, real])
+        fake_live = T.concat([cond_feed, fake_live])
+    fake_const = fake_live.detach()
 
     def prob(feed, frozen):
         logit = d_net.forward(feed, frozen=frozen)

@@ -109,10 +109,11 @@ def nmi(a, b, bins: int = 64) -> float:
     return (ha + hb) / hab
 
 
-def mde(d_pred: Deformation, d_true: Deformation, h: int | None = None, w: int | None = None) -> float:
+def mde(d_pred: Deformation, d_true: Deformation) -> float:
     """Mean Euclidean distance between two coordinate maps, in pixels,
-    averaged over the intersection of their validity masks."""
-    h, w = _resolve_extents((d_pred, d_true), h, w, "mde")
+    averaged over the intersection of their validity masks; at least one of
+    them must be dense, to give the grid."""
+    h, w = _resolve_extents((d_pred, d_true), None, None, "mde")
     inter = d_pred.mask_array(h, w) & d_true.mask_array(h, w)
     if not inter.any():
         raise ValueError("mde: empty mask intersection")

@@ -12,8 +12,10 @@ additionally runs every weight through spectral normalization. The rigid
 encoder gets two channels of [-1, 1] image coordinates so pooling does not
 erase rotations.
 
-``forward(..., frozen=True)`` applies a network with detached parameters;
-the trainer uses it to keep discriminator gradients out of generator steps.
+``Encoder.forward(..., frozen=True)`` applies an encoder with detached
+parameters (and its spectral-norm power iterations held); the adversarial
+loss uses it to keep discriminator gradients out of generator steps. The
+U-Net layers take no such flag: no caller freezes them.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class ConvTranspose(_Weighted):
     def __init__(self, rng, cin, cout):
         super().__init__(_uniform(rng, (cin, cout, 2, 2), cin * 4), _uniform(rng, (cout,), cin * 4))
 
-    def forward(self, x, frozen=False):
-        return T.conv_transpose2d(x, *self._weights(frozen), 2)
+    def forward(self, x):
+        return T.conv_transpose2d(x, self.w, self.b)
 
 
 class DenseHead(_Weighted):
@@ -130,9 +132,8 @@ class GroupNorm(Module):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
 
-    def forward(self, x, frozen=False):
-        g, b = (self.gamma.detach(), self.beta.detach()) if frozen else (self.gamma, self.beta)
-        return T.group_norm(x, self.groups, g, b)
+    def forward(self, x):
+        return T.group_norm(x, self.groups, self.gamma, self.beta)
 
 
 LEAKY_SLOPE = 0.01
@@ -152,14 +153,14 @@ class DoubleConv(Module):
         self.n2 = GroupNorm(cout) if norm == "group" else None
         self.activation = activation
 
-    def forward(self, x, frozen=False):
-        h = self.c1.forward(x, frozen)
+    def forward(self, x):
+        h = self.c1.forward(x)
         if self.n1 is not None:
-            h = self.n1.forward(h, frozen)
+            h = self.n1.forward(h)
         h = _act(h, self.activation)
-        h = self.c2.forward(h, frozen)
+        h = self.c2.forward(h)
         if self.n2 is not None:
-            h = self.n2.forward(h, frozen)
+            h = self.n2.forward(h)
         return _act(h, self.activation)
 
     def children(self):
@@ -199,23 +200,23 @@ class UNet(Module):
             self.dec.append(mk(2 * f[i], f[i]))
         self.head = Conv(rng, f[0], spec.out_channels, 1, 1, 0, zero_init=spec.zero_init_head)
 
-    def forward(self, x: Tensor, frozen=False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         levels = len(self.spec.encoder_features)
         h, w = x.shape[1], x.shape[2]
         divisor = 2 ** (levels - 1)
         if h % divisor or w % divisor:
             raise ValueError(f"extents {(h, w)} not divisible by {divisor}")
         skips = []
-        z = self.enc[0].forward(x, frozen)
+        z = self.enc[0].forward(x)
         skips.append(z)
         for down, enc in zip(self.down, self.enc[1:]):
-            z = enc.forward(down.forward(z, frozen), frozen)
+            z = enc.forward(down.forward(z))
             skips.append(z)
         for up, dec, skip in zip(self.up, self.dec, reversed(skips[:-1])):
-            z = up.forward(z, frozen)
+            z = up.forward(z)
             z = T.concat([z, skip])
-            z = dec.forward(z, frozen)
-        return self.head.forward(z, frozen)
+            z = dec.forward(z)
+        return self.head.forward(z)
 
     def children(self):
         return (_numbered("enc", self.enc) + _numbered("down", self.down) + _numbered("up", self.up)

@@ -74,11 +74,11 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
         return gc(f, a)
     check("elementwise_suite", elementwise)
 
-    def logexp(rng):
+    def log_sigmoid(rng):
         a = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
-        f = lambda z: T.mean(T.log(z)) + T.mean(T.exp(-z)) + T.mean(T.sqrt(z)) + T.mean(T.sigmoid(z))
+        f = lambda z: T.mean(T.log(z)) + T.mean(T.sigmoid(z))
         return gc(f, a)
-    check("log_exp_sqrt_sigmoid", logexp)
+    check("log_sigmoid", log_sigmoid)
 
     def trig(rng):
         a = t(rng, 5)
@@ -105,8 +105,8 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
         w = t(rng, 3, 2, 2, 2)
         b = t(rng, 2)
         pert = Tensor(rng.normal(size=(2, 6, 6)))
-        worst = gc(lambda z: T.mean(T.conv_transpose2d(z, w, b, 2) * pert), x)
-        worst = max(worst, gc(lambda z: T.mean(T.conv_transpose2d(x, z, b, 2) * pert), w))
+        worst = gc(lambda z: T.mean(T.conv_transpose2d(z, w, b) * pert), x)
+        worst = max(worst, gc(lambda z: T.mean(T.conv_transpose2d(x, z, b) * pert), w))
         return worst
     check("conv_transpose2d", convt)
 
@@ -231,7 +231,7 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
         label = img_of(rng.uniform(0, 1, size=(2, 8, 8)))
         def f(z):
             p = N.rigid_head(z, math.pi / 8, 2.0, (3.5, 3.5))
-            return L.cross_sim(pred, label, D.rigid_to_deformation(p))[0]
+            return L.cross_sim(pred, D.warp(label, D.rigid_to_deformation(p)))[0]
         return gc(f, t(rng, 3, scale=0.4), eps=1e-6)
     check("loss/cross_sim/rigid", loss_rigid_cross)
 
@@ -240,7 +240,7 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
         label = img_of(rng.uniform(0, 1, size=(2, 8, 8)))
         def f(z):
             d_cross = D.compose(D.svf_exp(D.Svf(z), squarings=2), D.identity_affine())
-            return L.cross_sim(pred, label, d_cross)[0]
+            return L.cross_sim(pred, D.warp(label, d_cross))[0]
         v = Tensor(rng.normal(size=(2, 8, 8)) * 0.3, requires_grad=True)
         return gc(f, v, eps=1e-6, rng=rng)
     check("loss/cross_sim/svf", loss_elastic_cross)
@@ -271,10 +271,10 @@ def gradcheck_suite(seeds: int = 20, tol: float = 1e-4) -> list[CheckResult]:
     def loss_adversarial(rng):
         dnet = N.Encoder(N.EncoderSpec(2, [3, 4], out_dim=1, spectral_norm=False, activation="leaky"),
                          np.random.default_rng(7))
-        x = img_of(rng.uniform(0, 1, size=(2, 8, 8)))
+        rng.uniform(0, 1, size=(2, 8, 8))  # unused input draw, so the rest match the discriminator check's
         label = img_of(rng.uniform(0, 1, size=(2, 8, 8)))
         def f(z):
-            _, g_loss = L.adversarial_losses(dnet, x, label, img_of(z), None, "def-uncond-adv")
+            _, g_loss = L.adversarial_losses(dnet, None, label, img_of(z))
             return g_loss
         pred = Tensor(rng.uniform(0, 1, size=(2, 8, 8)), requires_grad=True)
         return gc(f, pred, rng=rng)
@@ -300,7 +300,7 @@ def _disc_grad(dnet, x, label, pred) -> float:
     def d_loss(w):
         kept, fc.w = fc.w, w
         try:
-            return L.adversarial_losses(dnet, x, label, pred, None, "def-cond-adv")[0]
+            return L.adversarial_losses(dnet, x, label, pred)[0]
         finally:
             fc.w = kept
 

@@ -61,9 +61,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def detach(self) -> "Tensor":
         """Same values, no tape participation. Shares the data buffer."""
         t = Tensor.__new__(Tensor)
@@ -243,18 +240,6 @@ def log(a):
     return _make(np.log(a.data), (a,), lambda g: ((a, g / a.data),))
 
 
-def exp(a):
-    a = _wrap(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: ((a, g * out),))
-
-
-def sqrt(a):
-    a = _wrap(a)
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: ((a, g * (0.5 / out)),))
-
-
 def tanh(a):
     a = _wrap(a)
     out = np.tanh(a.data)
@@ -340,10 +325,6 @@ def concat(tensors, axis: int = 0):
         return tuple(pieces)
 
     return _make(out, tuple(tensors), grad_fn)
-
-
-def detach(a: Tensor) -> Tensor:
-    return _wrap(a).detach()
 
 
 # -- activations -------------------------------------------------------------------
@@ -515,7 +496,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
     return _make(out, (x, w, b), grad_fn)
 
 
-def conv_transpose2d(x, w, b, stride: int = 2):
+def conv_transpose2d(x, w, b):
     """Exact adjoint of the matching 2x2/stride-2 conv2d (plus bias): the
     U-Net's 2x upsampling, and the only layout supported.
 
@@ -525,19 +506,19 @@ def conv_transpose2d(x, w, b, stride: int = 2):
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     c_in, c_out, k, k2 = w.data.shape
-    if not k == k2 == stride == 2:
-        raise ValueError(f"unsupported kernel {k}x{k2} at stride {stride}: "
+    if not k == k2 == 2:
+        raise ValueError(f"unsupported kernel {k}x{k2}: "
                          "only the U-Net's 2x2/stride-2 upsampling is implemented")
     if x.data.ndim != 3 or x.data.shape[0] != c_in:
         raise ValueError(f"conv_transpose2d input {x.data.shape} incompatible with weight {w.data.shape}")
 
-    out = _correlate_adjoint(x.data, w.data, stride, 0)
+    out = _correlate_adjoint(x.data, w.data, 2, 0)
     out += b.data[:, None, None]
 
     def grad_fn(g):
         grads = []
         if x.requires_grad or w.requires_grad:
-            cols, ho, wo = _patches(g, k, stride, 0)
+            cols, ho, wo = _patches(g, 2, 2, 0)
             if x.requires_grad:
                 grads.append((x, (w.data.reshape(c_in, -1) @ cols).reshape(c_in, ho, wo)))
             if w.requires_grad:

@@ -225,7 +225,8 @@ class RegForward:
     e_cross: Deformation  # exp(v_cross)
     e_cross_inv: Deformation  # exp(-v_cross)
     d_cross: Deformation
-    y_reg: Image
+    y_cross: Image  # the label warped by d_cross, live for cross_sim
+    y_reg: Image  # y_cross detached, for everything downstream
     v_intra: Svf
     d_intra: Deformation  # exp(-v_intra)
 
@@ -300,13 +301,14 @@ class Trainer:
         v_cross = Svf(mb.h_svf.forward(reg_stack))
         e_cross, e_cross_inv = svf_exp(v_cross), svf_exp(-v_cross)
         d_cross = compose(e_cross, rigid.detached())
-        y_reg = warp(y_tilde, d_cross).detached()
+        y_cross = warp(y_tilde, d_cross)
+        y_reg = y_cross.detached()
 
         inv_disp = e_cross_inv.detached().displacement(h, w)
         g_stack = T.concat([pred.data, y_reg.data, inv_disp, _mask_channel(y_reg)])
         v_intra = Svf(mb.g_svf.forward(g_stack))
         return RegForward(rigid=rigid, e_cross=e_cross, e_cross_inv=e_cross_inv, d_cross=d_cross,
-                          y_reg=y_reg, v_intra=v_intra, d_intra=svf_exp(-v_intra))
+                          y_cross=y_cross, y_reg=y_reg, v_intra=v_intra, d_intra=svf_exp(-v_intra))
 
     # -- one optimization step -----------------------------------------------------
 
@@ -344,8 +346,8 @@ class Trainer:
             empty.append(e0)
         else:
             fw = self._registration_forward(x, y_tilde, pred)
-            terms["rig_sim"], e1 = cross_sim(pred, y_tilde, fw.rigid)
-            terms["cross_sim"], e2 = cross_sim(pred, y_tilde, fw.d_cross)
+            terms["rig_sim"], e1 = cross_sim(pred, warp(y_tilde, fw.rigid))
+            terms["cross_sim"], e2 = cross_sim(pred, fw.y_cross)
             terms["cross_reg"] = reg_cross(fw.e_cross, fw.e_cross_inv, self.weights)
 
             x_t = warp(x, t) if plan.needs_transform else None
@@ -363,16 +365,16 @@ class Trainer:
                 terms["com"], e4 = commutation_loss(pred, pred_t, t)
                 empty.append(e4)
 
-            if plan.adv_mode == "eq-adv":
-                label_t = warp(y_tilde, compose(t, fw.d_cross.detached()))
-                pred_reg_t = warp(pred_t, compose(t, compose(fw.d_intra, t_inv)))
+            if plan.adv_mode is not None:
+                if plan.adv_mode == "eq-adv":
+                    cond = x_t
+                    label_adv = warp(y_tilde, compose(t, fw.d_cross.detached()))
+                    pred_adv = warp(pred_t, compose(t, compose(fw.d_intra, t_inv)))
+                else:
+                    cond = x if plan.adv_mode == "def-cond-adv" else None
+                    label_adv, pred_adv = y_tilde, pred
                 d_loss, terms["adv_g"] = adversarial_losses(
-                    self.models.d, x, label_t, pred_reg_t, t, "eq-adv",
-                    non_saturating=cfg.non_saturating_gan)
-            elif plan.adv_mode is not None:
-                d_loss, terms["adv_g"] = adversarial_losses(
-                    self.models.d, x, y_tilde, pred, None, plan.adv_mode,
-                    non_saturating=cfg.non_saturating_gan)
+                    self.models.d, cond, label_adv, pred_adv, non_saturating=cfg.non_saturating_gan)
 
         total = total_loss(terms, self.weights)
         report = LossReport({k: v.item() for k, v in terms.items()}, total.item(), sum(empty))
@@ -454,6 +456,10 @@ class Trainer:
         for n, st in self.models.power_states():
             if st.u is not None:
                 out.append((f"power.{n}", st.u))
+        if self.epoch < self.cfg.epochs:
+            # a run that goes on must still find its best epoch's weights
+            for ep, snap in self._snapshots:
+                out += [(f"snapshot.{ep}.{n}", arr) for n, arr in snap]
         return out
 
     def save_checkpoint(self, stem):
@@ -491,6 +497,12 @@ class Trainer:
             key = f"power.{n}"
             if key in arrays:
                 st.u = arrays[key].copy()
+        snapshots = {}
+        for key, arr in arrays.items():
+            if key.startswith("snapshot."):
+                ep, n = key[len("snapshot."):].split(".", 1)
+                snapshots.setdefault(int(ep), []).append((n, arr))
+        self._snapshots.extend(sorted(snapshots.items()))
         self.epoch = int(meta["epoch"])
         self.step_in_epoch = int(meta["step_in_epoch"])
         self.global_step = int(meta["global_step"])

@@ -159,10 +159,11 @@ class TestMde:
         assert ab <= ac + cb + 1e-12
 
     def test_affine_pair_needs_extents(self):
+        # two affines give no grid to average over; one dense map does
         a = D.identity_affine()
         with pytest.raises(ValueError):
             M.mde(a, a)
-        assert M.mde(a, a, 8, 8) == 0.0
+        assert M.mde(a, D.identity_map(8, 8)) == 0.0
 
 
 class TestReport:

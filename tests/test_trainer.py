@@ -12,6 +12,7 @@ from warpsynth.tensor import Tensor
 from warpsynth import deform as D
 from warpsynth import losses as L
 from warpsynth.datagen import Dataset, Sample, channel_swap, make_pair, procedural_image
+from warpsynth import selfcheck
 from warpsynth import trainer as TR
 
 from warpsynth import oracles
@@ -265,6 +266,27 @@ class TestSteps:
         tr.infer(s.x, s.y_tilde)
         assert len(calls) == 3
 
+    def test_each_loss_input_warped_once(self, monkeypatch):
+        # cross_sim reads the registration pass's warped label, and eq-adv
+        # conditions on the transformed input that f(x_t) was made from
+        calls = []
+        real = D.warp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (D, L, TR):
+            monkeypatch.setattr(module, "warp", counting)
+        ds = tiny_dataset()
+        s = ds.train[0]
+        for config, n in (("EqSim+Com", 5), ("DefSim", 3), ("EqSim+Com+EqAdv", 7),
+                          ("DefSim+DefCondAdv", 3)):
+            tr = TR.Trainer(tiny_cfg(config=config), ds)
+            calls.clear()
+            tr.build_losses(s.x, s.y_tilde)
+            assert len(calls) == n, config
+
 
 class TestValidation:
     def test_noreg_rule_ignores_deformations(self):
@@ -363,6 +385,19 @@ class TestTrainLoop:
         for name, arr in snap:
             if name in named:
                 assert np.array_equal(named[name].data, arr)
+
+    def test_resume_keeps_best_epoch_snapshots(self, tmp_path):
+        # the best epoch, 2, ends before the interruption at step 14 of 20, so
+        # the resumed run must restore its weights from the mid-run checkpoint
+        data = lambda: selfcheck.tiny_dataset(np.random.default_rng(8), 4, 32)
+        cfg = TR.TrainConfig(config="NoReg+Aug", epochs=5, lr_main=0.03, seed=4, features_f=(4, 8))
+        full = TR.Trainer(cfg, data()).train(tmp_path / "full")
+        assert TR.Trainer(cfg, data()).train(tmp_path / "part", max_steps=14).interrupted
+        part = TR.Trainer.from_checkpoint(tmp_path / "part" / "checkpoint", data())
+        resumed = part.train(tmp_path / "resumed")
+        assert full.best_epoch == resumed.best_epoch == 2
+        for name in ("checkpoint.bin", "checkpoint.json", "history.json"):
+            assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes()
 
     def test_patching_loop_runs(self, tmp_path):
         ds = tiny_dataset(size=32)

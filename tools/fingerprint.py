@@ -1,0 +1,61 @@
+"""Fingerprint short training runs, to show that a change leaves results
+byte-identical.
+
+    python3 tools/fingerprint.py                    # this tree's src/
+    python3 tools/fingerprint.py --src OTHER/src    # another checkout
+
+Trains six configurations for 2 epochs on four 32 px SC-preset pairs (tiny
+networks, features (4, 8); input noise 0.01; velocity-head weights and biases
+moved off zero so every registration path does work) and prints one line per
+configuration with the SHA-256 of the run's ``losses.jsonl``,
+``checkpoint.bin`` and ``history.json``. Run it on two trees and compare the
+outputs; equal lines mean equal loss logs, weights, optimizer state and
+validation histories. Takes a few seconds on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONFIGS = ("EqSim+Com", "DefSim", "NoReg+Aug", "EqSim+Com+EqAdv", "DefSim+DefCondAdv",
+           "DefSim+DefUncondAdv")
+FILES = ("losses.jsonl", "checkpoint.bin", "history.json")
+
+
+def fingerprint(config: str, out_dir: Path) -> list[str]:
+    import numpy as np
+    from warpsynth import selfcheck
+    from warpsynth.trainer import TrainConfig, Trainer
+
+    small = (4, 8)
+    cfg = TrainConfig(config=config, epochs=2, seed=0, lr_main=1e-3, input_noise=0.01,
+                      features_f=small, features_reg=small, features_rig=small, features_disc=small)
+    tr = Trainer(cfg, selfcheck.tiny_dataset(np.random.default_rng(8), 4, 32))
+    rng = np.random.default_rng(60)
+    for net in (tr.models.h_svf, tr.models.g_svf):
+        if net is not None:
+            net.head.w.data += rng.normal(size=net.head.w.data.shape) * 0.2
+            net.head.b.data += rng.normal(size=net.head.b.data.shape) * 0.5
+    tr.train(out_dir)
+    return [hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the warpsynth package")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, config in enumerate(CONFIGS):
+            hashes = fingerprint(config, Path(tmp) / str(i))
+            print(f"{config:<20} " + "  ".join(f"{n}={h}" for n, h in zip(FILES, hashes)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

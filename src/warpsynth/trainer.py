@@ -281,6 +281,7 @@ class Trainer:
         self.val_history: list[float] = []
         self.val_mde_history: list[float] = []
         self._snapshots = deque(maxlen=6)
+        self._last_validation = None  # samples, generator weights and MDEs it scored
 
     # -- forward passes ---------------------------------------------------------
 
@@ -406,13 +407,10 @@ class Trainer:
 
     # -- validation -----------------------------------------------------------------
 
-    def validation_score(self, samples=None) -> float:
-        """Mean masked L1 between the registered prediction and the
-        registered label (plain prediction-vs-label without registration)."""
-        samples = self.dataset.val if samples is None else samples
-        if not samples:
-            raise ValueError("empty validation set")
-        vals = []
+    def _validate(self, samples):
+        """One forward per sample: the masked-L1 scores, and the MDEs of the
+        samples with a ground-truth deformation (none without registration)."""
+        scores, mdes = [], []
         with T.no_grad():
             for s in samples:
                 x, y_tilde = self._scaled(s.x), self._scaled(s.y_tilde)
@@ -420,26 +418,41 @@ class Trainer:
                 if self.plan.registration:
                     fw = self._registration_forward(x, y_tilde, pred)
                     score, _ = masked_l1(warp(pred, fw.d_intra), fw.y_reg)
+                    if s.d_true is not None:
+                        mdes.append(M.mde(fw.overall_deformation(), s.d_true))
                 else:
                     score, _ = masked_l1(pred, y_tilde)
-                vals.append(float(score.data))
-        return float(np.mean(vals))
+                scores.append(float(score.data))
+        return scores, mdes
+
+    def validation_score(self, samples=None) -> float:
+        """Mean masked L1 between the registered prediction and the
+        registered label (plain prediction-vs-label without registration)."""
+        samples = self.dataset.val if samples is None else samples
+        if not samples:
+            raise ValueError("empty validation set")
+        scores, mdes = self._validate(samples)
+        self._last_validation = (list(samples), [p.data.copy() for _, p in self.named_gen], mdes)
+        return float(np.mean(scores))
 
     def validation_mde(self, samples=None) -> float | None:
         """Mean deformation error of the overall predicted deformation
-        against the stored ground truth; None without registration."""
+        against the stored ground truth; None without registration.
+
+        Reuses the MDEs of the last ``validation_score`` call when it scored
+        the same sample objects with generator weights equal, array for array,
+        to the current ones; otherwise runs the forward pass itself."""
         if not self.plan.registration:
             return None
         samples = self.dataset.val if samples is None else samples
-        vals = []
-        with T.no_grad():
-            for s in samples:
-                if s.d_true is None:
-                    continue
-                x, y_tilde = self._scaled(s.x), self._scaled(s.y_tilde)
-                fw = self._registration_forward(x, y_tilde, self._predict_scaled(x))
-                vals.append(M.mde(fw.overall_deformation(), s.d_true))
-        return float(np.mean(vals)) if vals else None
+        last = self._last_validation
+        if (last is not None and len(last[0]) == len(samples)
+                and all(a is b for a, b in zip(last[0], samples))
+                and all(np.array_equal(w, p.data) for w, (_, p) in zip(last[1], self.named_gen))):
+            mdes = last[2]
+        else:
+            _, mdes = self._validate(samples)
+        return float(np.mean(mdes)) if mdes else None
 
     # -- checkpointing ----------------------------------------------------------------
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from warpsynth import tensor as T
 from warpsynth.tensor import Tensor
@@ -359,6 +361,44 @@ class TestBilinear:
         for border in ("zeros", "clamp"):
             assert_each_gradient_alone(lambda *ts: T.bilinear_sample(*ts, border=border) * pert,
                                        (img, coords))
+
+
+@st.composite
+def masks_and_coords(draw, n_masks):
+    """``n_masks`` boolean masks on one h×w grid (h, w ≤ 16) and a coordinate
+    map of up to 16×16 that reaches past every edge; integer coordinates are
+    drawn as often as fractional ones, so corners with zero weight occur."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    masks = [draw(hnp.arrays(np.bool_, (h, w))) for _ in range(n_masks)]
+    coord = st.one_of(st.integers(-2, 17).map(float), st.floats(-2.0, 17.0))
+    shape = (2, draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    return masks, draw(hnp.arrays(np.float64, shape, elements=coord))
+
+
+SMALL = settings(max_examples=60, deadline=None, database=None)
+
+
+class TestSampleValidityProperties:
+    @SMALL
+    @given(masks_and_coords(2))
+    def test_and_of_masks_is_and_of_validities(self, case):
+        (m1, m2), coords = case
+        assert np.array_equal(T.sample_validity(m1 & m2, coords),
+                              T.sample_validity(m1, coords) & T.sample_validity(m2, coords))
+
+    @SMALL
+    @given(masks_and_coords(1))
+    def test_within_the_all_ones_validity(self, case):
+        (m,), coords = case
+        valid = T.sample_validity(m, coords)
+        assert not (valid & ~T.sample_validity(np.ones_like(m), coords)).any()
+
+    @SMALL
+    @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, max_side=16)))
+    def test_identity_map_returns_the_mask(self, m):
+        ident = np.stack(np.meshgrid(np.arange(m.shape[0], dtype=float),
+                                     np.arange(m.shape[1], dtype=float), indexing="ij"))
+        assert np.array_equal(T.sample_validity(m, ident), m)
 
 
 class TestDetachBackward:

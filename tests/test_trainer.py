@@ -289,6 +289,16 @@ class TestSteps:
 
 
 class TestValidation:
+    @staticmethod
+    def _drawn_trainer(ds):
+        # velocity heads drawn so that neither deformation is the identity
+        tr = TR.Trainer(tiny_cfg(), ds)
+        rng = np.random.default_rng(3)
+        for name, p in tr.named_gen:
+            if name.startswith(("h_svf.head.", "g_svf.head.")):
+                p.data = rng.uniform(-0.5, 0.5, p.data.shape)
+        return tr
+
     def test_noreg_rule_ignores_deformations(self):
         ds = tiny_dataset()
         tr = TR.Trainer(tiny_cfg(config="NoReg"), ds)
@@ -309,11 +319,7 @@ class TestValidation:
         # and the label warped by d_cross, averaged over the val images; the
         # velocity heads are drawn so that neither deformation is the identity
         ds = tiny_dataset()
-        tr = TR.Trainer(tiny_cfg(), ds)
-        rng = np.random.default_rng(3)
-        for name, p in tr.named_gen:
-            if name.startswith(("h_svf.head.", "g_svf.head.")):
-                p.data = rng.uniform(-0.5, 0.5, p.data.shape)
+        tr = self._drawn_trainer(ds)
         by_hand = []
         with T.no_grad():
             for s in ds.val:
@@ -338,6 +344,60 @@ class TestValidation:
         ds = tiny_dataset()
         tr = TR.Trainer(tiny_cfg(config="NoReg"), ds)
         assert tr.validation_mde() is None
+
+    # validation_mde reuses validation_score's pass only on the same samples
+    # and weights; each case compares with a trainer that never scored
+
+    @staticmethod
+    def _unscored_twin(tr, ds):
+        twin = TR.Trainer(tiny_cfg(), ds)
+        for (_, p), (_, q) in zip(twin.named_gen, tr.named_gen):
+            p.data = q.data.copy()
+        return twin
+
+    @staticmethod
+    def _count_forwards(monkeypatch, tr):
+        calls = []
+        for name in ("f", "h_rig", "h_svf", "g_svf"):
+            net = getattr(tr.models, name)
+
+            def counted(*args, _forward=net.forward, _name=name):
+                calls.append(_name)
+                return _forward(*args)
+            monkeypatch.setattr(net, "forward", counted)
+        return calls
+
+    def test_mde_after_score_runs_no_network(self, monkeypatch):
+        ds = tiny_dataset()
+        tr = self._drawn_trainer(ds)
+        tr.validation_score()
+        calls = self._count_forwards(monkeypatch, tr)
+        mde = tr.validation_mde()
+        assert calls == []
+        assert mde == self._unscored_twin(tr, ds).validation_mde()
+
+    def test_mde_reruns_after_in_place_weight_change(self, monkeypatch):
+        ds = tiny_dataset()
+        tr = self._drawn_trainer(ds)
+        tr.validation_score()
+        stale = tr.validation_mde()
+        dict(tr.named_gen)["h_svf.head.w"].data += 1e-3
+        calls = self._count_forwards(monkeypatch, tr)
+        mde = tr.validation_mde()
+        assert sorted(calls) == sorted(["f", "h_rig", "h_svf", "g_svf"] * len(ds.val))
+        assert mde != stale
+        assert mde == self._unscored_twin(tr, ds).validation_mde()
+
+    def test_mde_reruns_on_other_samples(self, monkeypatch):
+        ds = tiny_dataset()
+        tr = self._drawn_trainer(ds)
+        tr.validation_score()
+        others = ds.train[2:]
+        calls = self._count_forwards(monkeypatch, tr)
+        mde = tr.validation_mde(others)
+        assert calls.count("f") == len(others)
+        assert mde != tr.validation_mde()
+        assert mde == self._unscored_twin(tr, ds).validation_mde(others)
 
 
 class TestTrainLoop:

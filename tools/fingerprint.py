@@ -8,9 +8,12 @@ Trains six configurations for 2 epochs on four 32 px SC-preset pairs (tiny
 networks, features (4, 8); input noise 0.01; velocity-head weights and biases
 moved off zero so every registration path does work) and prints one line per
 configuration with the SHA-256 of the run's ``losses.jsonl``,
-``checkpoint.bin`` and ``history.json``. Run it on two trees and compare the
-outputs; equal lines mean equal loss logs, weights, optimizer state and
-validation histories. Takes a few seconds on one core.
+``checkpoint.bin`` and ``history.json``, followed by
+``repr((validation_score(), validation_mde()))`` of the trained model (the
+best epoch's weights, restored at the end of training). Run it on two trees
+and compare the outputs; equal lines mean equal loss logs, weights, optimizer
+state, validation histories and post-training validation values. Takes a few
+seconds on one core.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ CONFIGS = ("EqSim+Com", "DefSim", "NoReg+Aug", "EqSim+Com+EqAdv", "DefSim+DefCon
 FILES = ("losses.jsonl", "checkpoint.bin", "history.json")
 
 
-def fingerprint(config: str, out_dir: Path) -> list[str]:
+def fingerprint(config: str, out_dir: Path) -> tuple[list[str], str]:
     import numpy as np
     from warpsynth import selfcheck
     from warpsynth.trainer import TrainConfig, Trainer
@@ -43,7 +46,8 @@ def fingerprint(config: str, out_dir: Path) -> list[str]:
             net.head.w.data += rng.normal(size=net.head.w.data.shape) * 0.2
             net.head.b.data += rng.normal(size=net.head.b.data.shape) * 0.5
     tr.train(out_dir)
-    return [hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES]
+    hashes = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES]
+    return hashes, repr((tr.validation_score(), tr.validation_mde()))
 
 
 def main(argv=None):
@@ -53,8 +57,9 @@ def main(argv=None):
     sys.path.insert(0, str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         for i, config in enumerate(CONFIGS):
-            hashes = fingerprint(config, Path(tmp) / str(i))
-            print(f"{config:<20} " + "  ".join(f"{n}={h}" for n, h in zip(FILES, hashes)), flush=True)
+            hashes, val = fingerprint(config, Path(tmp) / str(i))
+            print(f"{config:<20} " + "  ".join(f"{n}={h}" for n, h in zip(FILES, hashes))
+                  + f"  val={val}", flush=True)
 
 
 if __name__ == "__main__":

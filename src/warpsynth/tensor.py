@@ -402,39 +402,57 @@ def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5):
 # -- convolutions --------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, k: int, stride: int):
-    """Unfold (C,H,W) into a (C*k*k, Ho*Wo) patch matrix for BLAS matmuls.
-
-    Copies one kernel offset at a time; each copy is a plain strided 3-d
-    block, which is much cheaper than transposing a 5-d window view.
-    """
+def _blocks(x: np.ndarray, k: int) -> np.ndarray:
+    """The non-overlapping k x k blocks of (C,H,W) as a (C*k*k, H/k * W/k)
+    matrix, in one reshape/transpose copy: the patch matrix of a stride-k
+    convolution, whose patches tile the image."""
     c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    cols = np.empty((c, k, k, ho * wo), dtype=x.dtype)
-    for a in range(k):
-        for b in range(k):
-            src = x[:, a:a + (ho - 1) * stride + 1:stride, b:b + (wo - 1) * stride + 1:stride]
-            np.copyto(cols[:, a, b].reshape(c, ho, wo), src)
-    return cols.reshape(c * k * k, ho * wo), ho, wo
+    return x.reshape(c, h // k, k, w // k, k).transpose(0, 2, 4, 1, 3).reshape(c * k * k, -1)
 
 
-def _patches(x: np.ndarray, k: int, stride: int, padding: int):
-    """``_im2col`` of the (C,H,W) input zero-padded by ``padding``."""
-    if padding:
-        c, h, wd = x.shape
-        xp = np.zeros((c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
-        xp[:, padding:padding + h, padding:padding + wd] = x
-        x = xp
-    return _im2col(x, k, stride)
+def _flat_padded(x: np.ndarray, k: int, padding: int):
+    """Zero-pad (C,H,W) by ``padding`` into one flat (C, Hp*P + k-1) buffer,
+    P = W + 2*padding being the row pitch. Kernel offset (a, b) of a stride-1
+    k x k correlation then reads the contiguous column window
+    [a*P + b, a*P + b + Ho*P) (``_windows``); its columns j >= P-k+1 of each
+    output row wrap into the next row and are dropped. Returns the buffer, Ho
+    and P."""
+    c, h, w = x.shape
+    hp, pitch = h + 2 * padding, w + 2 * padding
+    flat = np.zeros((c, hp * pitch + k - 1), dtype=x.dtype)
+    flat[:, :hp * pitch].reshape(c, hp, pitch)[:, padding:padding + h, padding:padding + w] = x
+    return flat, hp - k + 1, pitch
+
+
+def _windows(flat: np.ndarray, k: int, ho: int, pitch: int) -> list[np.ndarray]:
+    """The k*k (C, Ho*P) column windows of a flat padded buffer, in (a, b) order."""
+    return [flat[:, a * pitch + b:a * pitch + b + ho * pitch] for a in range(k) for b in range(k)]
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Cross-correlate (C_in,H,W) with (C_out,C_in,k,k) over the input
-    zero-padded by ``padding``: one im2col patch matrix and one GEMM."""
-    c_out = w.shape[0]
-    cols, ho, wo = _patches(x, w.shape[2], stride, padding)
-    return (w.reshape(c_out, -1) @ cols).reshape(c_out, ho, wo)
+    zero-padded by ``padding``, for the two layouts ``conv2d`` accepts. At
+    stride = k it is one GEMM on the block matrix. At stride 1 it is k*k
+    shifted GEMMs, w[:, :, a, b] @ window(a, b), summed in (a, b) order over
+    one flat padded buffer. Only when C_out >= 2*C_in, where k*k thin GEMMs
+    and their sums cost more than a copy of the input's windows (3->8, 8->16
+    and 16->32 in tools/convbench.py; 7->8 and 8->9 do not), are the windows
+    stacked for one GEMM."""
+    c_out, c_in, k, _ = w.shape
+    if stride == k:
+        h, wd = x.shape[1:]
+        return (w.reshape(c_out, -1) @ _blocks(x, k)).reshape(c_out, h // k, wd // k)
+    flat, ho, pitch = _flat_padded(x, k, padding)
+    windows = _windows(flat, k, ho, pitch)
+    if c_out >= 2 * c_in:
+        acc = w.transpose(0, 2, 3, 1).reshape(c_out, -1) @ np.concatenate(windows)
+    else:
+        taps = w.transpose(2, 3, 0, 1).reshape(k * k, c_out, c_in)
+        acc = taps[0] @ windows[0]
+        part = np.empty_like(acc)
+        for tap, window in zip(taps[1:], windows[1:]):
+            acc += np.matmul(tap, window, out=part)
+    return acc.reshape(c_out, ho, pitch)[:, :, :pitch - k + 1]
 
 
 def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -449,6 +467,25 @@ def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int, padding: int) 
         cols = w.reshape(c_out, -1).T @ g.reshape(c_out, -1)
         return cols.reshape(c_in, k, k, ho, wo).transpose(0, 3, 1, 4, 2).reshape(c_in, ho * k, wo * k)
     return _correlate(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, k - 1 - padding)
+
+
+def _correlate_weight_grad(x: np.ndarray, g: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """Gradient of ``_correlate`` in its (C_out,C_in,k,k) weight, for the
+    upstream gradient g. At stride = k it is g @ blocks.T. At stride 1, g
+    zero-extended to the row pitch makes gw[:, :, a, b] = g_ext @ window.T,
+    k*k GEMMs that read the flat padded buffer in place: the extension's
+    zero columns cancel the wrapped-around ones."""
+    c_out, ho, wo = g.shape
+    if stride == k:
+        return (g.reshape(c_out, -1) @ _blocks(x, k).T).reshape(c_out, -1, k, k)
+    flat, _, pitch = _flat_padded(x, k, padding)
+    g_ext = np.zeros((c_out, ho, pitch), dtype=g.dtype)
+    g_ext[:, :, :wo] = g
+    g_ext = g_ext.reshape(c_out, -1)
+    gw = np.empty((k, k, c_out, x.shape[0]), dtype=g.dtype)
+    for tap, window in zip(gw.reshape(k * k, c_out, -1), _windows(flat, k, ho, pitch)):
+        np.matmul(g_ext, window.T, out=tap)
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0):
@@ -474,8 +511,8 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
         raise ValueError(f"input {x.data.shape} gives no whole, non-empty output for k={k}, "
                          f"stride={stride}, padding={padding}")
 
-    out = _correlate(x.data, w.data, stride, padding)
-    out += b.data[:, None, None]
+    # adding the bias also copies the stride-1 result out of its padded rows
+    out = _correlate(x.data, w.data, stride, padding) + b.data[:, None, None]
 
     def grad_fn(g):
         # only the gradients some input needs: a network's first layer reads
@@ -484,11 +521,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0):
         if x.requires_grad:
             grads.append((x, _correlate_adjoint(g, w.data, stride, padding)))
         if w.requires_grad:
-            # the patch matrix (k*k times the input at stride 1) is rebuilt
-            # here from the input the graph keeps anyway, rather than held
-            # from the forward pass until backward
-            cols, _, _ = _patches(x.data, k, stride, padding)
-            grads.append((w, (g.reshape(c_out, -1) @ cols.T).reshape(w.data.shape)))
+            grads.append((w, _correlate_weight_grad(x.data, g, k, stride, padding)))
         if b.requires_grad:
             grads.append((b, g.sum(axis=(1, 2))))
         return grads
@@ -518,9 +551,9 @@ def conv_transpose2d(x, w, b):
     def grad_fn(g):
         grads = []
         if x.requires_grad or w.requires_grad:
-            cols, ho, wo = _patches(g, 2, 2, 0)
+            cols = _blocks(g, 2)
             if x.requires_grad:
-                grads.append((x, (w.data.reshape(c_in, -1) @ cols).reshape(c_in, ho, wo)))
+                grads.append((x, (w.data.reshape(c_in, -1) @ cols).reshape(x.data.shape)))
             if w.requires_grad:
                 # gw[c, o, a, b] = sum_ij x[c, i, j] * g[o, i*s + a, j*s + b]; a
                 # contiguous (HW, C_out*k*k) operand keeps BLAS's summation order

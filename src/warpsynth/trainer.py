@@ -27,8 +27,7 @@ from .tensor import Adam, Tensor
 from .deform import (Deformation, Image, NonFiniteField, Svf, TransformConfig, compose,
                      rigid_to_deformation, sample_equivariance_transform, svf_exp, warp)
 from .losses import (LossReport, LossWeights, adversarial_losses, commutation_loss, cross_sim,
-                     masked_l1, reg_cross, reg_intra, similarity_default,
-                     similarity_equivariance, total_loss)
+                     masked_l1, reg_cross, reg_intra, similarity_default, total_loss)
 from .networks import build_models, rigid_head
 from .datagen import Dataset, Sample, channel_swap
 from . import metrics as M
@@ -354,8 +353,13 @@ class Trainer:
             x_t = warp(x, t) if plan.needs_transform else None
             pred_t = self._predict_scaled(x_t) if plan.needs_transform else None
 
+            # f(x_t) goes back to the label's frame through compose(d_intra,
+            # t_inv), for the equivariance similarity and for eq-adv alike
+            d_back = (compose(fw.d_intra, t_inv)
+                      if plan.sim_mode == "eq" or plan.adv_mode == "eq-adv" else None)
             if plan.sim_mode == "eq":
-                terms["intra_sim"], e3 = similarity_equivariance(pred_t, fw.y_reg, fw.d_intra, t_inv)
+                # similarity_equivariance(pred_t, y_reg, d_intra, t_inv), sharing d_back
+                terms["intra_sim"], e3 = masked_l1(warp(pred_t, d_back), fw.y_reg)
             else:
                 terms["intra_sim"], e3 = similarity_default(pred, fw.y_reg, fw.d_intra)
             terms["intra_reg"] = reg_intra(svf_exp(fw.v_intra), fw.d_intra, fw.e_cross,
@@ -370,7 +374,7 @@ class Trainer:
                 if plan.adv_mode == "eq-adv":
                     cond = x_t
                     label_adv = warp(y_tilde, compose(t, fw.d_cross.detached()))
-                    pred_adv = warp(pred_t, compose(t, compose(fw.d_intra, t_inv)))
+                    pred_adv = warp(pred_t, compose(t, d_back))
                 else:
                     cond = x if plan.adv_mode == "def-cond-adv" else None
                     label_adv, pred_adv = y_tilde, pred

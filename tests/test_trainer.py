@@ -287,6 +287,27 @@ class TestSteps:
             tr.build_losses(s.x, s.y_tilde)
             assert len(calls) == n, config
 
+    def test_each_composition_built_once(self, monkeypatch):
+        # eq-adv warps f(x_t) back through the compose(d_intra, t_inv) that
+        # the equivariance similarity already built
+        calls = []
+        real = D.compose
+
+        def counting(outer, inner):
+            calls.append((outer, inner))
+            return real(outer, inner)
+
+        for module in (D, L, TR):
+            monkeypatch.setattr(module, "compose", counting)
+        ds = tiny_dataset()
+        s = ds.train[0]
+        for config, n in (("EqSim+Com", 4), ("EqSim+Com+EqAdv", 6)):
+            tr = TR.Trainer(tiny_cfg(config=config), ds)
+            calls.clear()
+            tr.build_losses(s.x, s.y_tilde)
+            assert len(calls) == n, config
+            assert len({(id(a), id(b)) for a, b in calls}) == n, config
+
 
 class TestValidation:
     @staticmethod

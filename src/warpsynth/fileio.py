@@ -11,6 +11,7 @@ JSON blob for non-array state.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -57,20 +58,31 @@ def save_checkpoint(stem, named_arrays, meta: dict):
 
     ``named_arrays`` is an iterable of (name, float64 ndarray); the manifest
     records byte offsets so single entries can be mapped back losslessly.
+    All three files are first written to ``.tmp`` files in the same
+    directory and then moved into place with ``os.replace``, so a save that
+    raises before the moves leaves the previous checkpoint as it was.
     """
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    offset = 0
-    with open(f"{stem}.bin", "wb") as fh:
-        for name, arr in named_arrays:
-            arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-            fh.write(arr.astype("<f8").tobytes())
-            shape = " ".join(str(s) for s in arr.shape)
-            lines.append(f"{name}\tfloat64\t{shape}\t{offset}")
-            offset += arr.nbytes
-    Path(f"{stem}.manifest").write_text("\n".join(lines) + "\n")
-    Path(f"{stem}.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    paths = [Path(f"{stem}{ext}") for ext in (".bin", ".manifest", ".json")]
+    tmps = [p.with_name(p.name + ".tmp") for p in paths]
+    try:
+        lines = []
+        offset = 0
+        with open(tmps[0], "wb") as fh:
+            for name, arr in named_arrays:
+                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+                fh.write(arr.astype("<f8").tobytes())
+                shape = " ".join(str(s) for s in arr.shape)
+                lines.append(f"{name}\tfloat64\t{shape}\t{offset}")
+                offset += arr.nbytes
+        tmps[1].write_text("\n".join(lines) + "\n")
+        tmps[2].write_text(json.dumps(meta, indent=1, sort_keys=True))
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(stem):

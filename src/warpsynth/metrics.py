@@ -17,6 +17,8 @@ from .deform import Deformation, Image, _resolve_extents
 
 # identical images have infinite PSNR; aggregate tables use this stand-in
 PSNR_SENTINEL_DB = 999.0
+# side of SSIM's square, uniformly weighted window
+SSIM_WINDOW = 7
 
 
 def _as_image(x) -> Image:
@@ -40,39 +42,50 @@ def psnr(a, b, max_val: float) -> float:
     return 10.0 * math.log10(max_val * max_val / mse)
 
 
-def ssim(a, b, max_val: float, window: int = 7) -> float:
+def _window_sums(maps: np.ndarray) -> np.ndarray:
+    """Sums of every complete SSIM_WINDOW x SSIM_WINDOW window of the last two
+    axes: row sums along x, then their sums along y, each added term by term
+    in window order. That is the order in which numpy reduces a
+    (..., window, window) view, so the sums equal its sums bit for bit."""
+    for _ in range(2):
+        n = maps.shape[-1] - SSIM_WINDOW + 1
+        total = maps[..., :n] + maps[..., 1:n + 1]
+        for k in range(2, SSIM_WINDOW):
+            total += maps[..., k:k + n]
+        maps = total.swapaxes(-1, -2)
+    return maps
+
+
+def ssim(a, b, max_val: float) -> float:
     """Mean structural similarity over all complete rectangular windows.
 
     Uses the standard stabilizers c1 = (0.01 MAX)^2, c2 = (0.03 MAX)^2 and
-    population statistics inside each window; channels are averaged.
+    population statistics inside each window; channels are averaged. The
+    window moments come from separable window sums, so the cost is a few
+    passes over the image.
     """
     a, b = _as_image(a), _as_image(b)
     if a.extents != b.extents or a.channels != b.channels:
         raise ValueError("ssim needs images of identical shape")
     h, w = a.extents
-    if h < window or w < window:
-        raise ValueError(f"extent {(h, w)} smaller than the {window}x{window} window")
-    inter = a.mask & b.mask
-    win_ok = np.lib.stride_tricks.sliding_window_view(inter, (window, window)).all(axis=(2, 3))
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ValueError(f"extent {(h, w)} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    area = SSIM_WINDOW * SSIM_WINDOW
+    win_ok = _window_sums((a.mask & b.mask).astype(np.intp)) == area
     if not win_ok.any():
         raise ValueError("ssim: no window fully inside the valid intersection")
 
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
-    vals = []
-    for ch in range(a.channels):
-        wa = np.lib.stride_tricks.sliding_window_view(a.data.data[ch], (window, window))
-        wb = np.lib.stride_tricks.sliding_window_view(b.data.data[ch], (window, window))
-        mu1 = wa.mean(axis=(2, 3))
-        mu2 = wb.mean(axis=(2, 3))
-        # E[xy] - E[x]E[y] for variance too, so ssim(x, x) is exactly 1
-        var1 = (wa * wa).mean(axis=(2, 3)) - mu1 * mu1
-        var2 = (wb * wb).mean(axis=(2, 3)) - mu2 * mu2
-        cov = (wa * wb).mean(axis=(2, 3)) - mu1 * mu2
-        num = (2 * mu1 * mu2 + c1) * (2 * cov + c2)
-        den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-        vals.append(float((num / den)[win_ok].mean()))
-    return float(np.mean(vals))
+    x, y = a.data.data, b.data.data
+    mu1, mu2, ex2, ey2, exy = _window_sums(np.stack((x, y, x * x, y * y, x * y))) / area
+    # E[xy] - E[x]E[y] for variance too, so ssim(x, x) is exactly 1
+    var1 = ex2 - mu1 * mu1
+    var2 = ey2 - mu2 * mu2
+    cov = exy - mu1 * mu2
+    num = (2 * mu1 * mu2 + c1) * (2 * cov + c2)
+    den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+    return float(np.mean([float(r[win_ok].mean()) for r in num / den]))
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -80,11 +93,30 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _bin_index(v: np.ndarray, bins: int) -> np.ndarray:
+    """Each value's bin among ``bins`` equal-width bins spanning [min, max],
+    which must be a positive finite range: ``searchsorted(edges, v,
+    side="right") - 1`` on the ``linspace`` edges, the last bin closed on the
+    right, as ``np.histogram2d`` assigns them. The bin is estimated
+    arithmetically, then moved against the edges until no value lies outside
+    its bin."""
+    lo, hi = v.min(), v.max()
+    edges = np.linspace(lo, hi, bins + 1)
+    i = np.minimum(np.floor((v - lo) / (hi - lo) * bins), bins - 1).astype(np.intp)
+    while True:
+        down = v < edges[i]
+        up = (v >= edges[i + 1]) & (i < bins - 1)
+        if not (down.any() or up.any()):
+            return i
+        i += up.astype(np.intp) - down
+
+
 def nmi(a, b, bins: int = 64) -> float:
     """(H(a) + H(b)) / H(a, b) from a joint histogram of the valid pixels.
 
     Equal-width bins span each image's own valid-value range; a constant
-    image carries no information and the score is defined as 1.
+    image carries no information, and a non-finite value leaves no finite
+    range to bin, so in both cases the score is defined as 1.
     """
     a, b = _as_image(a), _as_image(b)
     if a.extents != b.extents:
@@ -94,13 +126,11 @@ def nmi(a, b, bins: int = 64) -> float:
         raise ValueError("nmi: not enough valid pixels")
     av = a.data.data[:, inter].ravel()
     bv = b.data.data[:, inter].ravel()
-    if av.min() == av.max() or bv.min() == bv.max():
+    if not all(0.0 < np.ptp(v) < math.inf for v in (av, bv)):
         return 1.0
-    ea = np.linspace(av.min(), av.max(), bins + 1)
-    eb = np.linspace(bv.min(), bv.max(), bins + 1)
-    joint, _, _ = np.histogram2d(av, bv, bins=[ea, eb])
-    n = joint.sum()
-    pj = joint / n
+    flat = _bin_index(av, bins) * bins + _bin_index(bv, bins)
+    joint = np.bincount(flat, minlength=bins * bins).reshape(bins, bins)
+    pj = joint / joint.sum()
     ha = _entropy(pj.sum(axis=1))
     hb = _entropy(pj.sum(axis=0))
     hab = _entropy(pj.ravel())

@@ -163,3 +163,41 @@ class TestFlatBinaryFormat:
         gray = np.round(rng.uniform(0, 255, size=(1, 4, 4)))
         fileio.write_pnm(tmp_path / "img.pgm", gray)
         assert np.array_equal(fileio.read_pnm(tmp_path / "img.pgm"), gray)
+
+
+class TestCheckpointBundle:
+    FILES = ["ckpt.bin", "ckpt.json", "ckpt.manifest"]
+
+    def test_round_trip_leaves_only_the_three_files(self, tmp_path, rng):
+        arrays = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5), "s": np.array(2.5)}
+        fileio.save_checkpoint(tmp_path / "ckpt", arrays.items(), {"epoch": 1})
+        back, meta = fileio.load_checkpoint(tmp_path / "ckpt")
+        assert meta == {"epoch": 1}
+        assert {k: v.tobytes() for k, v in back.items()} == {k: v.tobytes() for k, v in arrays.items()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.FILES
+
+    @pytest.mark.parametrize("where", ["arrays", "json"])
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, rng, monkeypatch, where):
+        stem = tmp_path / "ckpt"
+        old = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        fileio.save_checkpoint(stem, old.items(), {"epoch": 1})
+
+        def interrupted(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        def arrays():
+            yield "w", old["w"] + 1.0
+            if where == "arrays":
+                interrupted()
+            yield "b", old["b"] + 1.0
+
+        if where == "json":
+            monkeypatch.setattr(fileio.json, "dumps", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            fileio.save_checkpoint(stem, arrays(), {"epoch": 2})
+        monkeypatch.undo()
+
+        back, meta = fileio.load_checkpoint(stem)
+        assert meta == {"epoch": 1}
+        assert {k: v.tobytes() for k, v in back.items()} == {k: v.tobytes() for k, v in old.items()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.FILES

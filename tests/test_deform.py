@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from warpsynth import tensor as T
 from warpsynth.tensor import Tensor
@@ -15,8 +17,29 @@ from warpsynth.metrics import mde
 from warpsynth import oracles
 
 
+SMALL = settings(max_examples=60, deadline=None, database=None)
+
+
 def grid(h, w):
     return np.stack(np.meshgrid(np.arange(float(h)), np.arange(float(w)), indexing="ij"))
+
+
+@st.composite
+def nested_masks_and_map(draw):
+    """An h x w grid (h, w <= 16), a mask ``big`` and a subset ``small`` of it,
+    and a dense map with its own mask: the identity plus displacements of up
+    to 3 px, integer as often as fractional, so some lookups leave the grid
+    and some corners carry zero weight."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    big = draw(hnp.arrays(np.bool_, (h, w)))
+    small = big & draw(hnp.arrays(np.bool_, (h, w)))
+    disp = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+    coords = grid(h, w) + draw(hnp.arrays(np.float64, (2, h, w), elements=disp))
+    return big, small, D.Deformation.from_coords(Tensor(coords), draw(hnp.arrays(np.bool_, (h, w))))
+
+
+def subset(a, b):
+    return not (a & ~b).any()
 
 
 class TestIdentity:
@@ -210,6 +233,44 @@ class TestWarpMasks:
         inter = rt.mask & img.mask
         err = np.abs(rt.data.data - img.data.data)[:, inter].mean()
         assert err < 0.02 * 255
+
+
+class TestMaskProperties:
+    """Warping and composing only ever shrink validity: an output pixel is
+    valid only where the deformation's own mask is, and a smaller input mask
+    never gives a larger output mask."""
+
+    @SMALL
+    @given(nested_masks_and_map())
+    def test_warp_masks_only_shrink(self, case):
+        big, small, d = case
+        data = Tensor(np.ones((1,) + big.shape))
+        out_big = D.warp(D.Image(data, big), d).mask
+        out_small = D.warp(D.Image(data, small), d).mask
+        assert subset(out_big, d.mask)
+        assert subset(out_small, out_big)
+
+    @SMALL
+    @given(nested_masks_and_map())
+    def test_compose_masks_only_shrink(self, case):
+        big, small, d = case
+
+        def with_mask(m):
+            return D.Deformation.from_coords(d.coords, m)
+
+        assert subset(D.compose(d, with_mask(big)).mask, d.mask)
+        assert subset(D.compose(d, with_mask(small)).mask, D.compose(d, with_mask(big)).mask)
+        assert subset(D.compose(with_mask(small), d).mask, D.compose(with_mask(big), d).mask)
+        assert subset(D.compose(with_mask(big), d).mask, big)
+
+    @SMALL
+    @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, max_side=16)))
+    def test_identity_keeps_the_mask(self, m):
+        h, w = m.shape
+        img = D.Image(Tensor(np.ones((1, h, w))), m)
+        assert np.array_equal(D.warp(img, D.identity_map(h, w)).mask, m)
+        ident = D.Deformation.from_coords(D.identity_map(h, w).coords, m)
+        assert np.array_equal(D.compose(D.identity_map(h, w), ident).mask, m)
 
 
 class TestEquivarianceTransforms:

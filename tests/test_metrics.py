@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from warpsynth.tensor import Tensor
 from warpsynth import deform as D
@@ -12,8 +14,30 @@ from warpsynth import metrics as M
 from warpsynth import oracles
 
 
+SMALL = settings(max_examples=60, deadline=None, database=None)
+
+
 def img(arr, mask=None):
     return D.Image.from_array(arr, mask)
+
+
+@st.composite
+def masked_pairs(draw):
+    """Two images of 1-3 channels on one grid of 7-24 px and a validity mask.
+    Values are drawn from a few levels as often as from all of [0, 255], so
+    they repeat. The mask has a rectangular hole and scattered invalid
+    pixels; one drawn 7x7 window is kept valid, so some SSIM window fits."""
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(7, 24)), draw(st.integers(7, 24))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 127.5, 255.0]), st.floats(0.0, 255.0))
+    a, b = (draw(hnp.arrays(np.float64, (c, h, w), elements=value)) for _ in range(2))
+    mask = np.ones((h, w), dtype=bool)
+    top, left = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    mask[top:top + draw(st.integers(0, h - top)), left:left + draw(st.integers(0, w - left))] = False
+    for i, j in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)), max_size=6)):
+        mask[i, j] = False
+    i, j = draw(st.integers(0, h - 7)), draw(st.integers(0, w - 7))
+    mask[i:i + 7, j:j + 7] = True
+    return a, b, mask
 
 
 class TestPsnr:
@@ -94,6 +118,13 @@ class TestSsim:
             b = rng.uniform(0, 255, size=(1, 8, 8))
             assert -1.0 <= M.ssim(a, b, 255) <= 1.0
 
+    @SMALL
+    @given(masked_pairs())
+    def test_matches_loop_oracle_on_masked_grids(self, case):
+        a, b, mask = case
+        got = M.ssim(img(a, mask), img(b), 255)
+        assert got == pytest.approx(oracles.ssim_loop(a, b, 255, mask=mask), abs=1e-9)
+
 
 class TestNmi:
     def test_identical_is_exactly_two(self, rng):
@@ -122,6 +153,36 @@ class TestNmi:
         a = np.full((1, 8, 8), 5.0)
         b = rng.uniform(size=(1, 8, 8))
         assert M.nmi(a, b) == 1.0
+
+    def test_non_finite_value_defined_as_one(self, rng):
+        a = rng.uniform(size=(1, 8, 8))
+        for bad in (math.nan, math.inf):
+            b = a.copy()
+            b[0, 3, 4] = bad
+            assert M.nmi(a, b) == 1.0 and M.nmi(b, a) == 1.0
+
+    @SMALL
+    @given(masked_pairs(), st.integers(1, 64))
+    def test_matches_loop_oracle_on_masked_grids(self, case, bins):
+        a, b, mask = case
+        got = M.nmi(img(a, mask), img(b), bins)
+        assert got == pytest.approx(oracles.nmi_loop(a, b, bins, mask=mask), abs=1e-9)
+
+    @pytest.mark.parametrize("lo, hi, bins", [(0.3, 7.1, 8), (-3.7, 255.0, 64), (1e5 + 0.1, 1e5 + 0.9, 13),
+                                              (0.0, 1.0, 3), (-1e-7, 2e-7, 64), (2.0 ** 54, 2.0 ** 54 + 64, 64)])
+    def test_values_on_bin_edges(self, lo, hi, bins):
+        # every edge, the value one ULP below each interior edge, and the
+        # maximum twice: each must land where searchsorted puts it. In the
+        # last case a bin is narrower than the spacing of doubles near 2^54,
+        # so edges repeat and the arithmetic estimate is off by up to 2
+        edges = np.linspace(lo, hi, bins + 1)
+        below = np.nextafter(edges[1:-1], -np.inf)
+        v = np.concatenate([edges, below[below >= lo], [hi]])
+        want = [oracles._bin_of(x, edges, bins) for x in v]
+        assert M._bin_index(v, bins).tolist() == want
+        a = v.reshape(1, 1, -1)
+        b = np.roll(v, 3).reshape(1, 1, -1) ** 2
+        assert M.nmi(a, b, bins) == pytest.approx(oracles.nmi_loop(a, b, bins), abs=1e-9)
 
     def test_bounds(self, rng):
         for _ in range(10):

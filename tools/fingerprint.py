@@ -10,10 +10,12 @@ moved off zero so every registration path does work) and prints one line per
 configuration with the SHA-256 of the run's ``losses.jsonl``,
 ``checkpoint.bin`` and ``history.json``, followed by
 ``repr((validation_score(), validation_mde()))`` of the trained model (the
-best epoch's weights, restored at the end of training). Run it on two trees
-and compare the outputs; equal lines mean equal loss logs, weights, optimizer
-state, validation histories and post-training validation values. Takes a few
-seconds on one core.
+best epoch's weights, restored at the end of training) and the ``repr`` of
+its ``evaluate_model`` rows (PSNR, SSIM, NMI and, with registration, MDE)
+over the four training pairs. Run it on two trees and compare the outputs;
+equal lines mean equal loss logs, weights, optimizer state, validation
+histories, post-training validation values and evaluation metrics. Takes a
+few seconds on one core.
 """
 
 from __future__ import annotations
@@ -31,15 +33,16 @@ CONFIGS = ("EqSim+Com", "DefSim", "NoReg+Aug", "EqSim+Com+EqAdv", "DefSim+DefCon
 FILES = ("losses.jsonl", "checkpoint.bin", "history.json")
 
 
-def fingerprint(config: str, out_dir: Path) -> tuple[list[str], str]:
+def fingerprint(config: str, out_dir: Path) -> tuple[list[str], str, str]:
     import numpy as np
     from warpsynth import selfcheck
-    from warpsynth.trainer import TrainConfig, Trainer
+    from warpsynth.trainer import TrainConfig, Trainer, evaluate_model
 
     small = (4, 8)
     cfg = TrainConfig(config=config, epochs=2, seed=0, lr_main=1e-3, input_noise=0.01,
                       features_f=small, features_reg=small, features_rig=small, features_disc=small)
-    tr = Trainer(cfg, selfcheck.tiny_dataset(np.random.default_rng(8), 4, 32))
+    data = selfcheck.tiny_dataset(np.random.default_rng(8), 4, 32)
+    tr = Trainer(cfg, data)
     rng = np.random.default_rng(60)
     for net in (tr.models.h_svf, tr.models.g_svf):
         if net is not None:
@@ -47,7 +50,8 @@ def fingerprint(config: str, out_dir: Path) -> tuple[list[str], str]:
             net.head.b.data += rng.normal(size=net.head.b.data.shape) * 0.5
     tr.train(out_dir)
     hashes = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES]
-    return hashes, repr((tr.validation_score(), tr.validation_mde()))
+    _, rows = evaluate_model(tr, data.train)
+    return hashes, repr((tr.validation_score(), tr.validation_mde())), repr(rows)
 
 
 def main(argv=None):
@@ -57,9 +61,9 @@ def main(argv=None):
     sys.path.insert(0, str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         for i, config in enumerate(CONFIGS):
-            hashes, val = fingerprint(config, Path(tmp) / str(i))
+            hashes, val, rows = fingerprint(config, Path(tmp) / str(i))
             print(f"{config:<20} " + "  ".join(f"{n}={h}" for n, h in zip(FILES, hashes))
-                  + f"  val={val}", flush=True)
+                  + f"  val={val}  eval={rows}", flush=True)
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ def _resolve_kv(args) -> dict:
         kv[k.strip()] = v.strip()
     if args.seed is not None:
         kv["seed"] = str(args.seed)
-    if args.deterministic:
+    if args.deterministic and args.verb == "train":
         kv["deterministic"] = "true"
     return kv
 
@@ -118,6 +118,8 @@ def run(argv=None) -> int:
             _check_keys(kv, _EVAL_KEYS, args.verb)
             if "checkpoint" not in kv or "data_manifest" not in kv:
                 raise ValueError("eval requires checkpoint and data_manifest keys")
+            if kv.get("split", "test") not in datagen.Dataset.SPLITS:
+                raise ValueError(f"eval split must be train, val or test, got {kv['split']!r}")
         elif args.verb == "infer":
             _check_keys(kv, _INFER_KEYS, args.verb)
             if "checkpoint" not in kv or "x" not in kv:
@@ -175,10 +177,7 @@ def run(argv=None) -> int:
         if args.verb == "infer":
             trainer = Trainer.from_checkpoint(kv["checkpoint"])
             x = _load_input_image(kv["x"])
-            y_tilde = None
-            if kv.get("y_tilde"):
-                y_img = _load_input_image(kv["y_tilde"])
-                y_tilde = y_img
+            y_tilde = _load_input_image(kv["y_tilde"]) if kv.get("y_tilde") else None
             outputs = trainer.infer(x, y_tilde)
             pred = outputs["prediction"]
             fileio.write_array(out / "prediction.bin", pred.data.data, "image")

@@ -196,8 +196,11 @@ class Dataset:
     image_size: int = 0
     in_channels: int = 3
     label_channels: int = 3
+    SPLITS = ("train", "val", "test")
 
     def split(self, name: str):
+        if name not in self.SPLITS:
+            raise ValueError(f"unknown split {name!r}: expected one of {self.SPLITS}")
         return getattr(self, name)
 
 
@@ -225,7 +228,7 @@ def load_sample(manifest: DatasetManifest, split: str, index: int) -> Sample:
 def load_dataset(manifest_path) -> Dataset:
     manifest = DatasetManifest.load(manifest_path)
     splits = {}
-    for split in ("train", "val", "test"):
+    for split in Dataset.SPLITS:
         splits[split] = [load_sample(manifest, split, i) for i in range(len(manifest.samples[split]))]
     return Dataset(train=splits["train"], val=splits["val"], test=splits["test"],
                    image_size=manifest.size)

@@ -1,11 +1,10 @@
-"""Serialization: flat binary buffers with sidecar text headers, checkpoint
-bundles, flat key=value config files, and 8-bit PPM/PGM for eyeballing.
+"""Serialization: flat binary buffers with sidecar text headers, single-file
+checkpoints, flat key=value config files, and 8-bit PPM/PGM for eyeballing.
 
 Array files are a raw little-endian buffer at ``<name>`` plus a
 ``<name>.hdr`` sidecar declaring dtype, shape and kind (image, deformation,
-mask or svf). Checkpoints pack many named float64 arrays into one buffer
-described by a text manifest (name, dtype, shape, byte offset) next to a
-JSON blob for non-array state.
+mask or svf). A checkpoint is one file, ``<stem>.bin``: a JSON header line
+with the array table and the non-array state, then the float64 arrays.
 """
 
 from __future__ import annotations
@@ -54,52 +53,50 @@ def read_array(path):
 
 
 def save_checkpoint(stem, named_arrays, meta: dict):
-    """Write ``<stem>.bin`` / ``<stem>.manifest`` / ``<stem>.json``.
-
-    ``named_arrays`` is an iterable of (name, float64 ndarray); the manifest
-    records byte offsets so single entries can be mapped back losslessly.
-    All three files are first written to ``.tmp`` files in the same
-    directory and then moved into place with ``os.replace``, so a save that
-    raises before the moves leaves the previous checkpoint as it was.
-    """
-    stem = Path(stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    paths = [Path(f"{stem}{ext}") for ext in (".bin", ".manifest", ".json")]
-    tmps = [p.with_name(p.name + ".tmp") for p in paths]
+    """Write (name, float64 ndarray) pairs and ``meta`` to ``<stem>.bin``: one
+    compact JSON line ``{"arrays": [[name, shape, offset], ...], "meta": meta}``,
+    then the arrays in order. It goes to a ``.tmp`` first and into place with
+    one ``os.replace``, so a checkpoint is wholly the old one or the new one."""
+    path = Path(f"{stem}.bin")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        lines = []
-        offset = 0
-        with open(tmps[0], "wb") as fh:
-            for name, arr in named_arrays:
-                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-                fh.write(arr.astype("<f8").tobytes())
-                shape = " ".join(str(s) for s in arr.shape)
-                lines.append(f"{name}\tfloat64\t{shape}\t{offset}")
-                offset += arr.nbytes
-        tmps[1].write_text("\n".join(lines) + "\n")
-        tmps[2].write_text(json.dumps(meta, indent=1, sort_keys=True))
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+        table, bufs, offset = [], [], 0
+        for name, arr in named_arrays:
+            bufs.append(np.ascontiguousarray(arr, dtype="<f8"))
+            table.append([name, np.shape(arr), offset])
+            offset += bufs[-1].nbytes
+        header = json.dumps({"arrays": table, "meta": meta}, sort_keys=True, separators=(",", ":"))
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            fh.writelines(bufs)
+        os.replace(tmp, path)
     finally:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(stem):
-    stem = Path(stem)
-    raw = Path(f"{stem}.bin").read_bytes()
-    arrays = {}
-    for line in Path(f"{stem}.manifest").read_text().splitlines():
-        if not line.strip():
-            continue
-        name, dtype, shape_s, offset_s = line.split("\t")
-        shape = tuple(int(s) for s in shape_s.split()) if shape_s else ()
-        count = int(np.prod(shape)) if shape else 1
-        start = int(offset_s)
-        arr = np.frombuffer(raw, dtype=_DTYPES[dtype], count=count, offset=start)
-        arrays[name] = np.array(arr).reshape(shape)
-    meta = json.loads(Path(f"{stem}.json").read_text())
-    return arrays, meta
+    """Read ``<stem>.bin`` as ``(arrays, meta)``. A file whose first line is not
+    a checkpoint header, or whose size is not the header's, raises ValueError."""
+    path = Path(f"{stem}.bin")
+    raw = path.read_bytes()
+    start = raw.find(b"\n") + 1
+    try:
+        header = json.loads(raw[:start])
+        if not (isinstance(header, dict) and header.keys() == {"arrays", "meta"}):
+            raise ValueError("no checkpoint header line")
+        sizes = [8 * int(np.prod(shape)) for _, shape, _ in header["arrays"]]
+        if len(raw) - start != sum(sizes):
+            raise ValueError(f"{len(raw) - start} bytes follow the header, which declares {sum(sizes)}")
+        arrays, at = {}, 0
+        for (name, shape, offset), size in zip(header["arrays"], sizes):
+            if offset != at:
+                raise ValueError(f"array {name!r} at byte {offset}, expected {at}")
+            arrays[name] = np.frombuffer(raw, "<f8", size // 8, start + at).reshape(shape).copy()
+            at += size
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: not a checkpoint: {exc}") from exc
+    return arrays, header["meta"]
 
 
 # -- flat key=value config ------------------------------------------------------------

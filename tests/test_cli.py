@@ -56,7 +56,7 @@ class TestGenData:
 class TestTrain:
     def test_artifacts(self, workspace):
         run = workspace / "run"
-        assert (run / "checkpoint.bin").exists()
+        assert sorted(p.name for p in run.glob("checkpoint*")) == ["checkpoint.bin"]
         assert (run / "losses.jsonl").exists()
         assert (run / "history.json").exists()
         record = json.loads((run / "losses.jsonl").read_text().splitlines()[0])
@@ -102,6 +102,15 @@ class TestEval:
             assert agg[key] == pytest.approx(expect[key], rel=1e-12)
 
 
+    @pytest.mark.parametrize("split", ["image_size", "bogus"])
+    def test_unknown_split_is_a_configuration_error(self, workspace, tmp_path, capsys, split):
+        code = cli.run(["eval", "--out", str(tmp_path), "--set", f"split={split}",
+                        "--set", f"checkpoint={workspace / 'run' / 'checkpoint'}",
+                        "--set", f"data_manifest={workspace / 'data' / 'manifest.json'}"])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
+
 class TestInfer:
     def test_writes_prediction_and_deformations(self, workspace, tmp_path):
         code = cli.run(["infer", "--out", str(tmp_path),
@@ -127,6 +136,26 @@ class TestInfer:
 
     def test_missing_checkpoint_config_error(self, tmp_path):
         assert cli.run(["infer", "--out", str(tmp_path), "--set", "x=whatever.bin"]) == 1
+
+
+class TestDeterministicFlag:
+    """Every verb accepts ``--deterministic`` and ignores it; only train, whose
+    configuration has the key, records it."""
+
+    @pytest.mark.parametrize("verb", ["gen-data", "train", "eval", "infer"])
+    def test_accepted_by_every_verb(self, workspace, tmp_path, verb):
+        keys = {
+            "gen-data": ["--set", "size=32", "--set", "train_count=1", "--set", "val_count=1",
+                         "--set", "test_count=1"],
+            "train": TINY_TRAIN + ["--set", f"data_manifest={workspace / 'data' / 'manifest.json'}"],
+            "eval": ["--set", f"checkpoint={workspace / 'run' / 'checkpoint'}",
+                     "--set", f"data_manifest={workspace / 'data' / 'manifest.json'}"],
+            "infer": ["--set", f"checkpoint={workspace / 'run' / 'checkpoint'}",
+                      "--set", f"x={workspace / 'data' / 'test_00000_x.bin'}"],
+        }[verb]
+        assert cli.run([verb, "--deterministic", "--out", str(tmp_path)] + keys) == 0
+        snap = fileio.read_config(tmp_path / "resolved_config.txt")
+        assert ("deterministic" in snap) == (verb == "train")
 
 
 class TestVerificationVerbs:

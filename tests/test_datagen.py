@@ -2,10 +2,13 @@
 trips, reproducibility."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from warpsynth import deform as D
 from warpsynth import datagen as DG
@@ -133,6 +136,14 @@ class TestGenerateDataset:
         assert s.y_tilde.mask.any()
 
 
+    @pytest.mark.parametrize("name", ["image_size", "bogus"])
+    def test_split_names_only_the_three_splits(self, name):
+        ds = DG.Dataset(train=[1], val=[2], test=[3])
+        assert [ds.split(n) for n in ("train", "val", "test")] == [[1], [2], [3]]
+        with pytest.raises(ValueError, match="unknown split"):
+            ds.split(name)
+
+
 class TestFlatBinaryFormat:
     def test_array_round_trip(self, tmp_path, rng):
         arr = rng.normal(size=(3, 5, 7))
@@ -166,9 +177,9 @@ class TestFlatBinaryFormat:
 
 
 class TestCheckpointBundle:
-    FILES = ["ckpt.bin", "ckpt.json", "ckpt.manifest"]
+    FILES = ["ckpt.bin"]
 
-    def test_round_trip_leaves_only_the_three_files(self, tmp_path, rng):
+    def test_round_trip_leaves_one_file(self, tmp_path, rng):
         arrays = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5), "s": np.array(2.5)}
         fileio.save_checkpoint(tmp_path / "ckpt", arrays.items(), {"epoch": 1})
         back, meta = fileio.load_checkpoint(tmp_path / "ckpt")
@@ -176,7 +187,7 @@ class TestCheckpointBundle:
         assert {k: v.tobytes() for k, v in back.items()} == {k: v.tobytes() for k, v in arrays.items()}
         assert sorted(p.name for p in tmp_path.iterdir()) == self.FILES
 
-    @pytest.mark.parametrize("where", ["arrays", "json"])
+    @pytest.mark.parametrize("where", ["arrays", "json", "replace"])
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, rng, monkeypatch, where):
         stem = tmp_path / "ckpt"
         old = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
@@ -193,6 +204,8 @@ class TestCheckpointBundle:
 
         if where == "json":
             monkeypatch.setattr(fileio.json, "dumps", interrupted)
+        if where == "replace":
+            monkeypatch.setattr(fileio.os, "replace", interrupted)
         with pytest.raises(RuntimeError, match="interrupted"):
             fileio.save_checkpoint(stem, arrays(), {"epoch": 2})
         monkeypatch.undo()
@@ -201,3 +214,70 @@ class TestCheckpointBundle:
         assert meta == {"epoch": 1}
         assert {k: v.tobytes() for k, v in back.items()} == {k: v.tobytes() for k, v in old.items()}
         assert sorted(p.name for p in tmp_path.iterdir()) == self.FILES
+
+    def test_stop_right_after_the_move_leaves_the_new_checkpoint_whole(self, tmp_path, monkeypatch):
+        stem = tmp_path / "ckpt"
+        fileio.save_checkpoint(stem, [("w", np.zeros(4))], {"epoch": 1})
+        real_replace = os.replace
+
+        def replace_then_stop(src, dst):
+            real_replace(src, dst)
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(fileio.os, "replace", replace_then_stop)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            fileio.save_checkpoint(stem, [("w", np.ones(4))], {"epoch": 2})
+        monkeypatch.undo()
+
+        back, meta = fileio.load_checkpoint(stem)
+        assert meta == {"epoch": 2} and np.array_equal(back["w"], np.ones(4))
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.FILES
+
+    @pytest.mark.parametrize("content", [
+        np.arange(40.0).astype("<f8").tobytes(),  # a bare array buffer: the older three-file layout's .bin
+        b"",
+        b"[1, 2]\n",
+        b'{"arrays": []}\n',
+        b'{"arrays": [["w", [2], 8]], "meta": {}}\n' + bytes(16),
+    ], ids=["bare-buffer", "empty", "not-a-dict", "no-meta", "wrong-offset"])
+    def test_a_file_that_is_not_a_checkpoint_raises(self, tmp_path, content):
+        (tmp_path / "ckpt.bin").write_bytes(content)
+        with pytest.raises(ValueError, match="ckpt.bin"):
+            fileio.load_checkpoint(tmp_path / "ckpt")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+named_arrays = st.lists(
+    st.tuples(st.text(), hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))),
+    max_size=5, unique_by=lambda pair: pair[0])
+
+
+class TestCheckpointProperties:
+    """A checkpoint reads back exactly what was saved, whatever the names
+    (tabs and newlines included) and shapes (0-d and zero-size included),
+    and a file one byte too short or too long is refused."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(named_arrays, st.dictionaries(st.text(), json_values, max_size=4))
+    def test_round_trip(self, tmp_path_factory, arrays, meta):
+        stem = tmp_path_factory.mktemp("ckpt") / "ckpt"
+        fileio.save_checkpoint(stem, arrays, meta)
+        back, back_meta = fileio.load_checkpoint(stem)
+        assert back_meta == meta
+        assert list(back) == [name for name, _ in arrays]
+        for name, arr in arrays:
+            assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes()
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(named_arrays, st.sampled_from([-1, 1]))
+    def test_one_byte_off_raises(self, tmp_path_factory, arrays, change):
+        stem = tmp_path_factory.mktemp("ckpt") / "ckpt"
+        fileio.save_checkpoint(stem, arrays, {"epoch": 1})
+        path = Path(f"{stem}.bin")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1] if change < 0 else raw + b"\0")
+        with pytest.raises(ValueError, match="ckpt.bin"):
+            fileio.load_checkpoint(stem)

@@ -273,6 +273,43 @@ class TestMaskProperties:
         assert np.array_equal(D.compose(D.identity_map(h, w), ident).mask, m)
 
 
+@st.composite
+def well_conditioned_affines(draw):
+    """Rotation, per-axis scale in [0.5, 2], shear up to 0.5 and a translation
+    of up to 50 px: singular values stay within [0.25, 3]."""
+    angle = draw(st.floats(-math.pi, math.pi))
+    sy, sx = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    shear = draw(st.floats(-0.5, 0.5))
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    a = rot @ np.array([[sy, shear], [0.0, sx]])
+    b = [draw(st.floats(-50.0, 50.0)) for _ in range(2)]
+    return D.Affine(a[0, 0], a[0, 1], a[1, 0], a[1, 1], *b)
+
+
+class TestAffineProperties:
+    """Closed-form affine algebra agrees with the maps it stands for."""
+
+    @SMALL
+    @given(well_conditioned_affines())
+    def test_compose_with_inverse_is_identity(self, a):
+        for both in (a.compose(a.inverse()), a.inverse().compose(a)):
+            mat, vec = both.as_arrays()
+            assert np.allclose(mat, np.eye(2), rtol=0, atol=1e-9)
+            assert np.allclose(vec, 0.0, rtol=0, atol=1e-9)
+
+    @SMALL
+    @given(well_conditioned_affines(), well_conditioned_affines(), st.integers(1, 16), st.integers(1, 16))
+    def test_compose_matches_the_dense_maps(self, a1, a2, h, w):
+        d1, d2 = D.Deformation.from_affine(a1), D.Deformation.from_affine(a2)
+        composed = D.compose(d1, d2)
+        assert composed.kind == "affine"
+        m1, v1 = a1.as_arrays()
+        m2, v2 = a2.as_arrays()
+        p = grid(h, w).reshape(2, -1)
+        expected = m2 @ (m1 @ p + v1[:, None]) + v2[:, None]
+        assert np.allclose(composed.dense_coords(h, w).data.reshape(2, -1), expected, rtol=0, atol=1e-9)
+
+
 class TestEquivarianceTransforms:
     def test_inverse_exact(self, rng):
         worst = 0.0

@@ -24,7 +24,7 @@ from . import datagen
 from . import selfcheck
 from .deform import Deformation, Image
 from .metrics import PSNR_SENTINEL_DB
-from .trainer import Trainer, TrainConfig, TrainingDiverged, evaluate_model
+from .trainer import Trainer, TrainConfig, TrainingDiverged, evaluate_model, parse_config_name
 
 _GEN_KEYS = {"preset", "size", "train_count", "val_count", "test_count",
              "noise_amplitude", "image_dir", "seed"}
@@ -112,6 +112,9 @@ def run(argv=None) -> int:
             )
         elif args.verb == "train":
             cfg = TrainConfig.from_kv(kv)
+            parse_config_name(cfg.config)
+            if cfg.epochs < 1:
+                raise ValueError(f"epochs must be at least 1, got {cfg.epochs}")
             if not cfg.data_manifest:
                 raise ValueError("train requires a data_manifest key")
         elif args.verb == "eval":

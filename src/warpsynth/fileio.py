@@ -4,12 +4,14 @@ checkpoints, flat key=value config files, and 8-bit PPM/PGM for eyeballing.
 Array files are a raw little-endian buffer at ``<name>`` plus a
 ``<name>.hdr`` sidecar declaring dtype, shape and kind (image, deformation,
 mask or svf). A checkpoint is one file, ``<stem>.bin``: a JSON header line
-with the array table and the non-array state, then the float64 arrays.
+with the array table and the non-array state, then the arrays as float64,
+which holds float32 values exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -38,24 +40,39 @@ def write_array(path, arr: np.ndarray, kind: str):
 
 
 def read_array(path):
+    """Read an array file and its ``.hdr`` sidecar as ``(array, kind)``. A
+    header without its dtype, shape or kind line, or a data file whose size is
+    not the header's, raises ValueError naming the file."""
     path = Path(path)
-    hdr = {}
-    for line in Path(str(path) + ".hdr").read_text().splitlines():
-        if line.strip():
-            k, v = line.split("=", 1)
-            hdr[k.strip()] = v.strip()
-    shape = tuple(int(s) for s in hdr["shape"].split()) if hdr["shape"] else ()
-    arr = np.frombuffer(path.read_bytes(), dtype=_DTYPES[hdr["dtype"]]).reshape(shape)
-    return np.array(arr), hdr["kind"]
+    try:
+        hdr = {}
+        for line in Path(str(path) + ".hdr").read_text().splitlines():
+            if line.strip():
+                k, v = line.split("=", 1)
+                hdr[k.strip()] = v.strip()
+        missing = [k for k in ("dtype", "shape", "kind") if k not in hdr]
+        if missing:
+            raise ValueError(f"the header has no {' or '.join(missing)} line")
+        if hdr["dtype"] not in _DTYPES:
+            raise ValueError(f"unknown dtype {hdr['dtype']!r}")
+        dtype = np.dtype(_DTYPES[hdr["dtype"]])
+        shape = tuple(int(s) for s in hdr["shape"].split())
+        raw = path.read_bytes()
+        if len(raw) != dtype.itemsize * math.prod(shape):
+            raise ValueError(f"{len(raw)} bytes, the header declares {hdr['dtype']} of shape {shape}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: not an array file: {exc}") from exc
+    return np.frombuffer(raw, dtype).reshape(shape).copy(), hdr["kind"]
 
 
 # -- checkpoints ------------------------------------------------------------------
 
 
 def save_checkpoint(stem, named_arrays, meta: dict):
-    """Write (name, float64 ndarray) pairs and ``meta`` to ``<stem>.bin``: one
+    """Write (name, float ndarray) pairs and ``meta`` to ``<stem>.bin``: one
     compact JSON line ``{"arrays": [[name, shape, offset], ...], "meta": meta}``,
-    then the arrays in order. It goes to a ``.tmp`` first and into place with
+    then the arrays in order as little-endian float64, which holds float32
+    values exactly. It goes to a ``.tmp`` first and into place with
     one ``os.replace``, so a checkpoint is wholly the old one or the new one."""
     path = Path(f"{stem}.bin")
     path.parent.mkdir(parents=True, exist_ok=True)

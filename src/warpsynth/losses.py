@@ -62,7 +62,7 @@ def masked_l1(a: Image, b: Image):
     n = int(inter.sum())
     if n == 0:
         return Tensor(0.0), True
-    gate = Tensor(np.broadcast_to(inter, a.data.shape).astype(np.float64))
+    gate = Tensor(np.broadcast_to(inter, a.data.shape).astype(a.data.data.dtype))
     loss = T.tsum(T.absolute(a.data - b.data) * gate) * (1.0 / (n * a.channels))
     return loss, False
 
@@ -99,7 +99,7 @@ def _masked_mean(t: Tensor, valid: np.ndarray):
     n = int(valid.sum())
     if n == 0:
         return Tensor(0.0)
-    return T.tsum(t * Tensor(valid.astype(np.float64))) * (1.0 / n)
+    return T.tsum(t * Tensor(valid.astype(t.data.dtype))) * (1.0 / n)
 
 
 def nonrigidity_terms(d: Deformation, h: int | None = None, w: int | None = None):
@@ -193,8 +193,7 @@ def adversarial_losses(d_net, cond: Image | None, label_reg: Image, pred_reg: Im
     inter = label_reg.mask & pred_reg.mask
     if cond is not None:
         inter = inter & cond.mask
-    gate = inter.astype(np.float64)
-    gate_img = lambda im: im.data * Tensor(np.broadcast_to(gate, im.data.shape))
+    gate_img = lambda im: im.data * Tensor(np.broadcast_to(inter, im.data.shape).astype(im.data.data.dtype))
 
     real = gate_img(label_reg.detached())
     fake_live = gate_img(pred_reg)

@@ -8,9 +8,16 @@ soon as it has been passed on, so only leaves (tensors no op produced) end up
 with a ``.grad``, and intermediates carry none. The graph itself survives the
 pass, so repeated backward calls accumulate into the leaves' ``.grad``.
 
-Everything is float64. Only two broadcasting patterns are supported for
-binary ops: equal shapes, and scalar-vs-tensor. That covers every loss and
-network in this package and keeps gradient bookkeeping trivial.
+The dtype follows the data: a tensor keeps float32 data as float32 and
+stores anything else as float64, and each op computes, and builds its
+gradients, in its inputs' dtype. An op that mixes the two computes in float32,
+so a float64 constant (an identity grid, a mask, a Python scalar) never
+promotes a float32 graph. The trainer runs in float32; the gradient checks and
+the oracles pass float64 arrays and stay in float64.
+
+Only two broadcasting patterns are supported for binary ops: equal shapes,
+and scalar-vs-tensor. That covers every loss and network in this package and
+keeps gradient bookkeeping trivial.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=DTYPE)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -140,7 +148,7 @@ class Tensor:
                     # own the buffer: closures may hand back views, read-only
                     # broadcasts, or the upstream gradient itself
                     if pg is g or pg.base is not None or not pg.flags.writeable:
-                        pg = np.array(pg, dtype=DTYPE)
+                        pg = np.array(pg, dtype=parent.data.dtype)
                     scratch[id(parent)] = pg
                 else:
                     acc += pg
@@ -164,7 +172,14 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DTYPE))
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _common(*tensors):
+    """The tensors' data in one dtype: float32 if any of them is float32,
+    else float64."""
+    dtype = np.float32 if any(t.data.dtype == np.float32 for t in tensors) else DTYPE
+    return [t.data.astype(dtype, copy=False) for t in tensors]
 
 
 def _make(data: np.ndarray, parents, grad_fn) -> Tensor:
@@ -181,7 +196,7 @@ def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
     # inverse of scalar-vs-tensor broadcasting: the scalar side sums
     if grad.shape == tuple(shape):
         return grad
-    return np.asarray(grad.sum(), dtype=DTYPE).reshape(shape)
+    return np.asarray(grad.sum()).reshape(shape)
 
 
 # -- elementwise suite ------------------------------------------------------------
@@ -195,16 +210,17 @@ def _binary(a, b, value, grad_a, grad_b):
     a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
         raise ValueError(f"unsupported broadcast: {a.data.shape} vs {b.data.shape}")
+    x, y = _common(a, b)
 
     def grad_fn(g):
         grads = []
         if a.requires_grad:
-            grads.append((a, _reduce_to(grad_a(g, a.data, b.data), a.data.shape)))
+            grads.append((a, _reduce_to(grad_a(g, x, y), a.data.shape)))
         if b.requires_grad:
-            grads.append((b, _reduce_to(grad_b(g, a.data, b.data), b.data.shape)))
+            grads.append((b, _reduce_to(grad_b(g, x, y), b.data.shape)))
         return grads
 
-    return _make(value(a.data, b.data), (a, b), grad_fn)
+    return _make(value(x, y), (a, b), grad_fn)
 
 
 def add(a, b):
@@ -231,7 +247,7 @@ def neg(a):
 def absolute(a):
     a = _wrap(a)
     # subgradient at exactly 0 takes the negative branch, matching leaky_relu
-    sign = np.where(a.data > 0, 1.0, -1.0)
+    sign = (a.data > 0).astype(a.data.dtype) * 2 - 1
     return _make(np.abs(a.data), (a,), lambda g: ((a, g * sign),))
 
 
@@ -296,12 +312,12 @@ def getitem(a, idx):
         ga[idx] = g
         return ((a, ga),)
 
-    return _make(np.array(out, dtype=DTYPE), (a,), grad_fn)
+    return _make(np.array(out), (a,), grad_fn)
 
 
 def stack(tensors, axis: int = 0):
     tensors = [_wrap(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
+    out = np.stack(_common(*tensors), axis=axis)
 
     def grad_fn(g):
         slabs = np.split(g, len(tensors), axis=axis)
@@ -312,7 +328,7 @@ def stack(tensors, axis: int = 0):
 
 def concat(tensors, axis: int = 0):
     tensors = [_wrap(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    out = np.concatenate(_common(*tensors), axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -605,12 +621,13 @@ def bilinear_sample(image, coords, border: str = "zeros"):
     values and the coordinates.
     """
     image, coords = _wrap(image), _wrap(coords)
-    c, h, w = image.data.shape
-    corners, fy, fx = _sampling_plan(coords.data, h, w, border)
+    img, cdata = _common(image, coords)
+    c, h, w = img.shape
+    corners, fy, fx = _sampling_plan(cdata, h, w, border)
 
     # img[:, idx] leaves the channel axis innermost in memory (np.take would
     # not), and later reductions over the sampled map sum in that order
-    img = image.data.reshape(c, -1)
+    img = img.reshape(c, -1)
     v00, v01, v10, v11 = (img[:, idx] * inb for idx, inb, _ in corners)
     (_, _, w00), (_, _, w01), (_, _, w10), (_, _, w11) = corners
     out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
@@ -625,7 +642,7 @@ def bilinear_sample(image, coords, border: str = "zeros"):
             # order as a per-channel bincount would
             npix = h * w
             offsets = (np.arange(c) * npix)[:, None]
-            gimg = np.zeros(c * npix, dtype=DTYPE)
+            gimg = np.zeros(c * npix, dtype=img.dtype)
             for idx, inb, wt in corners:
                 gimg += np.bincount((offsets + idx.ravel()).ravel(),
                                     weights=(g * (wt * inb)).ravel(), minlength=c * npix)
@@ -637,7 +654,7 @@ def bilinear_sample(image, coords, border: str = "zeros"):
             gcx = (g * d_dx).sum(axis=0)
             if border == "clamp":
                 # flat beyond the border: no coordinate gradient where we clipped
-                cy, cx = coords.data
+                cy, cx = cdata
                 gcy = gcy * ((cy > 0.0) & (cy < h - 1.0))
                 gcx = gcx * ((cx > 0.0) & (cx < w - 1.0))
             grads.append((coords, np.stack([gcy, gcx])))
@@ -726,7 +743,7 @@ def spectral_normalize(w: Tensor, state: PowerIterState, update: bool = True) ->
     w = _wrap(w)
     mat = w.data.reshape(w.data.shape[0], -1)
     if state.u is None:
-        u = np.ones(mat.shape[0], dtype=DTYPE)
+        u = np.ones(mat.shape[0], dtype=mat.dtype)
         state.u = u / np.linalg.norm(u)
     v = mat.T @ state.u
     v /= np.linalg.norm(v) + 1e-12

@@ -237,8 +237,14 @@ class RegForward:
         return compose(compose(inv_rigid, self.e_cross_inv.detached()), self.d_intra)
 
 
+# the trainer's parameters, inputs, activations and gradients: float32 halves
+# the memory traffic of every conv GEMM (Micikevicius et al. 2018 keep float32
+# master weights too); what it returns to callers is float64
+TRAIN_DTYPE = np.float32
+
+
 def _mask_channel(img: Image) -> Tensor:
-    return Tensor(img.mask.astype(np.float64)[None])
+    return Tensor(img.mask.astype(TRAIN_DTYPE)[None])
 
 
 class Trainer:
@@ -269,6 +275,7 @@ class Trainer:
         named = self.models.named_params()
         self.named_gen = [(n, p) for n, p in named if not n.startswith("d.")]
         self.named_disc = [(n, p) for n, p in named if n.startswith("d.")]
+        self._cast_params()
         self.opt_main = Adam([p for _, p in self.named_gen], cfg.lr_main)
         self.opt_disc = Adam([p for _, p in self.named_disc], cfg.lr_disc) if self.named_disc else None
 
@@ -282,10 +289,22 @@ class Trainer:
         self._snapshots = deque(maxlen=6)
         self._last_validation = None  # samples, generator weights and MDEs it scored
 
+    def _cast_params(self):
+        """Cast to TRAIN_DTYPE every parameter whose data is not, such as one
+        a caller replaced with a float64 array."""
+        for _, p in self.named_gen + self.named_disc:
+            if p.data.dtype != TRAIN_DTYPE:
+                p.data = p.data.astype(TRAIN_DTYPE)
+
     # -- forward passes ---------------------------------------------------------
 
     def _scaled(self, img: Image) -> Image:
-        return Image(img.data * (1.0 / self.cfg.intensity_scale), img.mask)
+        """The network-side image: TRAIN_DTYPE, divided by the intensity scale."""
+        return Image((img.data.data * (1.0 / self.cfg.intensity_scale)).astype(TRAIN_DTYPE), img.mask)
+
+    def _unscaled(self, img: Image) -> Image:
+        """A network-side image back in intensity units, as float64."""
+        return Image(img.data.data.astype(np.float64) * self.cfg.intensity_scale, img.mask)
 
     def _predict_scaled(self, x_scaled: Image) -> Image:
         return Image(self.models.f.forward(x_scaled.data), x_scaled.mask)
@@ -499,26 +518,28 @@ class Trainer:
         return stem
 
     def _load_state(self, arrays: dict, meta: dict):
+        # the file holds float64, which represents every TRAIN_DTYPE value
+        # exactly, so a save and a load give back the same bits
         named_all = dict(self.named_gen + self.named_disc)
         for n, p in named_all.items():
             arr = arrays[f"param.{n}"]
             if arr.shape != p.data.shape:
                 raise ValueError(f"checkpoint parameter {n}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.copy()
+            p.data = arr.astype(TRAIN_DTYPE)
         for tag, opt, named in self._optimizers():
             if any(k.startswith(f"adam_{tag}.") for k in arrays):
-                opt.m = [arrays[f"adam_{tag}.m.{n}"].copy() for n, _ in named]
-                opt.v = [arrays[f"adam_{tag}.v.{n}"].copy() for n, _ in named]
+                opt.m = [arrays[f"adam_{tag}.m.{n}"].astype(TRAIN_DTYPE) for n, _ in named]
+                opt.v = [arrays[f"adam_{tag}.v.{n}"].astype(TRAIN_DTYPE) for n, _ in named]
             opt.t = int(meta[f"adam_step_{tag}"])
         for n, st in self.models.power_states():
             key = f"power.{n}"
             if key in arrays:
-                st.u = arrays[key].copy()
+                st.u = arrays[key].astype(TRAIN_DTYPE)
         snapshots = {}
         for key, arr in arrays.items():
             if key.startswith("snapshot."):
                 ep, n = key[len("snapshot."):].split(".", 1)
-                snapshots.setdefault(int(ep), []).append((n, arr))
+                snapshots.setdefault(int(ep), []).append((n, arr.astype(TRAIN_DTYPE)))
         self._snapshots.extend(sorted(snapshots.items()))
         self.epoch = int(meta["epoch"])
         self.step_in_epoch = int(meta["step_in_epoch"])
@@ -549,6 +570,7 @@ class Trainer:
         """
         if self.dataset is None or not self.dataset.train:
             raise ValueError("training needs a dataset with a train split")
+        self._cast_params()
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         fileio.write_config(out_dir / "resolved_config.txt", self.cfg.to_kv())
@@ -625,19 +647,18 @@ class Trainer:
 
     def infer(self, x: Image, y_tilde: Image | None = None) -> dict:
         """Prediction for one input (intensity units); with a label also the
-        cross- and intra-modality deformations."""
+        cross- and intra-modality deformations. Every output is float64."""
         out = {}
-        scale = self.cfg.intensity_scale
         with T.no_grad():
             xs = self._scaled(x)
             pred = self._predict_scaled(xs)
-            out["prediction"] = Image(pred.data * scale, pred.mask)
+            out["prediction"] = self._unscaled(pred)
             if y_tilde is not None and self.plan.registration:
                 fw = self._registration_forward(xs, self._scaled(y_tilde), pred)
-                out["d_cross"] = fw.d_cross
-                out["d_intra"] = fw.d_intra
-                out["overall"] = fw.overall_deformation()
-                out["y_reg"] = Image(fw.y_reg.data * scale, fw.y_reg.mask)
+                for key, d in (("d_cross", fw.d_cross), ("d_intra", fw.d_intra),
+                               ("overall", fw.overall_deformation())):
+                    out[key] = Deformation.from_coords(Tensor(d.coords.data.astype(np.float64)), d.mask)
+                out["y_reg"] = self._unscaled(fw.y_reg)
         return out
 
 
@@ -658,7 +679,10 @@ def evaluate_model(trainer: Trainer, samples, max_val: float = 255.0):
     PSNR and SSIM compare the (clipped) prediction against the aligned
     ground-truth label reconstructed by the channel swap; NMI compares input
     and prediction (geometric agreement); MDE compares the overall predicted
-    deformation with the stored ground truth.
+    deformation with the stored ground truth. All four are float64: PSNR,
+    SSIM and NMI come from the prediction cast to float64, and MDE from the
+    float32 overall deformation, promoted to float64 when the ground truth
+    is subtracted.
     """
     report = M.MetricReport()
     rows = []
@@ -666,8 +690,7 @@ def evaluate_model(trainer: Trainer, samples, max_val: float = 255.0):
         for s in samples:
             xs = trainer._scaled(s.x)
             pred_s = trainer._predict_scaled(xs)
-            pred = Image(Tensor(np.clip(pred_s.data.data * trainer.cfg.intensity_scale, 0.0, max_val)),
-                         pred_s.mask)
+            pred = Image(np.clip(trainer._unscaled(pred_s).data.data, 0.0, max_val), pred_s.mask)
             y_true = channel_swap(s.x)
             row = {
                 "psnr": M.psnr(pred, y_true, max_val),

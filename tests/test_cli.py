@@ -67,6 +67,14 @@ class TestTrain:
                         "--set", f"data_manifest={workspace / 'data' / 'manifest.json'}"])
         assert code == 1
 
+    @pytest.mark.parametrize("setting", ["config=Bogus", "config=EqSim+DefSim", "epochs=0"])
+    def test_untrainable_config_exit_one_writes_nothing(self, workspace, tmp_path, capsys, setting):
+        code = cli.run(["train", "--out", str(tmp_path / "run")] + TINY_TRAIN
+                       + ["--set", setting, "--set", f"data_manifest={workspace / 'data' / 'manifest.json'}"])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_manifest_exit_one(self, tmp_path):
         assert cli.run(["train", "--out", str(tmp_path)] + TINY_TRAIN) == 1
 

@@ -166,6 +166,21 @@ class TestFlatBinaryFormat:
         hdr = (tmp_path / "a.bin.hdr").read_text()
         assert "dtype=float64" in hdr and "shape=2 3" in hdr
 
+    @pytest.mark.parametrize("size", [8 * 12 - 1, 8 * 12 + 1, 8 * 13])
+    def test_wrong_data_size_names_the_file(self, tmp_path, size):
+        fileio.write_array(tmp_path / "a.bin", np.zeros((3, 4)), "tensor")
+        (tmp_path / "a.bin").write_bytes(bytes(size))
+        with pytest.raises(ValueError, match=r"a\.bin: not an array file: .*shape \(3, 4\)"):
+            fileio.read_array(tmp_path / "a.bin")
+
+    @pytest.mark.parametrize("key", ["dtype", "shape", "kind"])
+    def test_header_line_missing_names_the_file(self, tmp_path, key):
+        fileio.write_array(tmp_path / "a.bin", np.zeros((3, 4)), "tensor")
+        hdr = tmp_path / "a.bin.hdr"
+        hdr.write_text("".join(ln + "\n" for ln in hdr.read_text().splitlines() if not ln.startswith(key)))
+        with pytest.raises(ValueError, match=rf"a\.bin: not an array file: the header has no {key} line"):
+            fileio.read_array(tmp_path / "a.bin")
+
     def test_pnm_round_trip(self, tmp_path, rng):
         arr = np.round(rng.uniform(0, 255, size=(3, 6, 5)))
         fileio.write_pnm(tmp_path / "img.ppm", arr)

@@ -274,6 +274,36 @@ class TestMaskProperties:
 
 
 @st.composite
+def pullback_case(draw):
+    """Two dense maps on an h x w grid (h, w <= 16), each the identity plus
+    displacements of up to 2 px with its own mask, and an image linear in the
+    coordinates, on which bilinear interpolation is exact. Masks are mostly
+    valid, so that most cases keep pixels valid through both warps."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    disp = st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
+    mask = lambda: draw(hnp.arrays(np.bool_, (h, w), elements=st.integers(0, 9).map(bool)))
+    d1, d2 = (D.Deformation.from_coords(
+        Tensor(grid(h, w) + draw(hnp.arrays(np.float64, (2, h, w), elements=disp))), mask()) for _ in range(2))
+    coef = draw(hnp.arrays(np.float64, (2, 3, 1, 1), elements=st.floats(-10.0, 10.0)))
+    offset = draw(hnp.arrays(np.float64, (3, 1, 1), elements=st.floats(-100.0, 100.0)))
+    return D.Image(Tensor(offset + (coef * grid(h, w)[:, None]).sum(axis=0)), mask()), d1, d2
+
+
+class TestPullbackProperties:
+    @SMALL
+    @given(pullback_case())
+    def test_warp_twice_is_warp_by_the_composition(self, case):
+        # the pullback identity (compose(d1, d2))* y == d1*(d2* y); on a
+        # linear image neither side carries interpolation error, so on the
+        # pixels valid in both the two sides agree to rounding
+        y, d1, d2 = case
+        twice = D.warp(D.warp(y, d2), d1)
+        once = D.warp(y, D.compose(d1, d2))
+        both = twice.mask & once.mask
+        assert np.allclose(twice.data.data[:, both], once.data.data[:, both], rtol=0, atol=1e-9)
+
+
+@st.composite
 def well_conditioned_affines(draw):
     """Rotation, per-axis scale in [0.5, 2], shear up to 0.5 and a translation
     of up to 50 px: singular values stay within [0.25, 3]."""

@@ -13,6 +13,7 @@ from warpsynth import tensor as T
 from warpsynth.tensor import Tensor
 from warpsynth import deform as D
 from warpsynth import losses as L
+from warpsynth import metrics as M
 from warpsynth.datagen import Dataset, Sample, channel_swap, make_pair, procedural_image
 from warpsynth import selfcheck
 from warpsynth import trainer as TR
@@ -519,6 +520,62 @@ class TestTrainLoop:
         assert exc_info.value.result is not None
         assert exc_info.value.result.diverged
         assert (tmp_path / "out" / "diverged_state.bin").exists()
+
+
+class TestPrecision:
+    """The trainer computes in float32; the gradient checks and what the
+    trainer returns to callers stay float64."""
+
+    @pytest.mark.parametrize("config", ["EqSim+Com", "DefSim", "NoReg+Aug", "EqSim+Com+EqAdv",
+                                        "DefSim+DefCondAdv", "DefSim+DefUncondAdv"])
+    def test_training_tape_is_float32(self, config):
+        ds = tiny_dataset()
+        tr = TR.Trainer(tiny_cfg(config=config), ds)
+        _, _, total, d_loss = tr.build_losses(ds.train[0].x, ds.train[0].y_tilde)
+        roots = [total] if d_loss is None else [total, d_loss]
+        nodes = [n for root in roots for n in T._toposort(root) if n.requires_grad]
+        assert nodes and {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
+        for root in roots:
+            root.backward()
+        grads = [p.grad for _, p in tr.named_gen + tr.named_disc if p.grad is not None]
+        assert grads and {g.dtype for g in grads} == {np.dtype(np.float32)}
+
+    def test_gradient_checks_compute_in_float64(self, monkeypatch):
+        dtypes = set()
+        make = T._make
+
+        def recording(data, parents, grad_fn):
+            dtypes.add(data.dtype)
+            return make(data, parents, grad_fn)
+
+        monkeypatch.setattr(T, "_make", recording)
+        assert all(r.passed for r in selfcheck.gradcheck_suite(seeds=1))
+        assert dtypes == {np.dtype(np.float64)}
+
+    def test_public_outputs_are_float64(self):
+        # evaluate_model's metrics are those of infer's float64 outputs, exactly
+        ds = tiny_dataset()
+        tr = TR.Trainer(tiny_cfg(), ds)
+        _, rows = TR.evaluate_model(tr, ds.test)
+        for s, row in zip(ds.test, rows):
+            out = tr.infer(s.x, s.y_tilde)
+            assert out["prediction"].data.data.dtype == out["y_reg"].data.data.dtype == np.float64
+            assert all(out[k].coords.data.dtype == np.float64 for k in ("d_cross", "d_intra", "overall"))
+            pred = D.Image(np.clip(out["prediction"].data.data, 0.0, 255.0), out["prediction"].mask)
+            assert row == {"psnr": M.psnr(pred, channel_swap(s.x), 255.0),
+                           "ssim": M.ssim(pred, channel_swap(s.x), 255.0),
+                           "nmi": M.nmi(s.x, pred), "mde": M.mde(out["overall"], s.d_true)}
+
+    def test_train_casts_replaced_parameters_and_reload_is_exact(self, tmp_path):
+        ds = tiny_dataset()
+        tr = TR.Trainer(tiny_cfg(epochs=2), ds)
+        head = dict(tr.named_gen)["h_svf.head.b"]
+        head.data = np.full(head.data.shape, 1.5)  # a caller's float64 array
+        assert tr.train(tmp_path, max_steps=3).interrupted
+        back = TR.Trainer.from_checkpoint(tmp_path / "checkpoint", ds)
+        pairs = [(p.data, q.data) for (_, p), (_, q) in zip(tr.named_gen, back.named_gen)]
+        pairs += list(zip(tr.opt_main.m + tr.opt_main.v, back.opt_main.m + back.opt_main.v))
+        assert all(a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes() for a, b in pairs)
 
 
 class TestEvaluate:

@@ -11,10 +11,13 @@ features (8, 16, 32)), runs each network forward once to record the
 (C_in, C_out, k, stride, padding, H, W) of every conv2d and
 conv_transpose2d call, and prints one line per distinct layer with the
 median milliseconds of its forward pass, of its input gradient alone and of
-its weight gradient alone. Each gradient is timed by calling the recorded
-tape closure with only that input requiring a gradient, so the same harness
-runs on any tree whose ``tensor.conv2d``/``conv_transpose2d`` keep their
-signatures. Repeats alternate over the layers, so a slow spell of the
+its weight gradient alone. Operands are float32, the precision the trainer
+runs in; the header says which dtype the tensors held, since a tree whose
+tensors store only float64 runs float64 whatever it is given. Each gradient
+is timed by calling the recorded tape closure with only that input requiring
+a gradient, so the same harness runs on any tree whose ``tensor.conv2d``/
+``conv_transpose2d`` keep their signatures. Repeats alternate over the
+layers, so a slow spell of the
 machine spreads over all of them. Run it on two trees, one after the other,
 and compare the columns.
 """
@@ -77,9 +80,9 @@ def timers(T, layer, rng):
     else:
         fn = T.conv_transpose2d
         wshape = (cin, cout, k, k)
-    x = rng.normal(size=(cin, h, w))
-    wt = rng.normal(size=wshape) * 0.1
-    b = rng.normal(size=cout)
+    x = rng.normal(size=(cin, h, w)).astype("float32")
+    wt = (rng.normal(size=wshape) * 0.1).astype("float32")
+    b = rng.normal(size=cout).astype("float32")
 
     def forward():
         with T.no_grad():
@@ -88,7 +91,7 @@ def timers(T, layer, rng):
     def grad_of(which):
         ts = [T.Tensor(a, requires_grad=i == which) for i, a in enumerate((x, wt, b))]
         out = fn(*ts)
-        g = rng.normal(size=out.shape)
+        g = rng.normal(size=out.shape).astype(out.data.dtype)
         return lambda: out._grad_fn(g)
 
     return forward, grad_of(0), grad_of(1)
@@ -108,6 +111,7 @@ def main(argv=None):
     rng = np.random.default_rng(0)
     found = layers(T, networks)
     runs = {layer: timers(T, layer, rng) for layer in found}
+    held = T.Tensor(np.zeros(1, dtype=np.float32)).data.dtype
     times = {layer: ([], [], []) for layer in found}
     for fns in runs.values():  # warm-up
         for fn in fns:
@@ -118,7 +122,8 @@ def main(argv=None):
                 t0 = time.perf_counter()
                 fn()
                 acc.append(time.perf_counter() - t0)
-    print(f"numpy {np.__version__}, 1 BLAS thread, {args.repeats} calls per median, milliseconds")
+    print(f"numpy {np.__version__}, 1 BLAS thread, float32 operands held as {held}, "
+          f"{args.repeats} calls per median, milliseconds")
     print(f"{'first use':<10} {'op':<17} {'Cin':>3} {'Cout':>4} {'k':>1} {'s':>1} {'p':>1} "
           f"{'HxW':>5}  {'fwd':>6} {'dx':>6} {'dw':>6}")
     for layer, first in found.items():
